@@ -50,7 +50,6 @@ import json
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from .bgp.arraytable import DECISION_BACKENDS
 from .errors import ExperimentError
 from .experiment.records import ExperimentResult
 from .experiment.runner import ExperimentRunner
@@ -113,7 +112,21 @@ __all__ = [
 #: (:class:`ExecutionPolicy`).  :meth:`ExperimentSpec.from_dict` still
 #: reads schema-3 documents, folding their flat execution keys into
 #: the nested policy.
+#:
+#: Schema 4 still writes ``"decision_backend": "object"`` as a constant
+#: key although the field is gone (route selection has one
+#: implementation, :class:`~repro.bgp.decision.DecisionProcess`):
+#: campaign checkpoints and summaries embed :meth:`ExperimentSpec.as_dict`
+#: and :meth:`ExperimentSpec.digest`, so dropping the key would change
+#: every spec digest for a change that alters no result.
 SPEC_SCHEMA_VERSION = 4
+
+#: The constant ``decision_backend`` value schema-4 documents carry,
+#: and the legacy values :meth:`ExperimentSpec.from_dict` accepts and
+#: drops (the retired ``"array"`` backend always produced the same
+#: results as the one implementation).
+_DECISION_BACKEND = "object"
+_LEGACY_DECISION_BACKENDS = ("object", "array")
 
 _EXPERIMENTS = ("surf", "internet2")
 
@@ -237,13 +250,6 @@ class ExperimentSpec:
     config_overrides: Tuple[Tuple[str, Any], ...] = ()
     configs: Optional[Tuple[str, ...]] = None
     pps: int = 100
-    #: Route-selection implementation ("object" filters Route lists
-    #: through the oracle; "array" selects over decision-key columns
-    #: — see :mod:`repro.bgp.arraytable`).  Results are byte-identical
-    #: under both; like every field, it is digest-affecting, so cells
-    #: computed under different backends checkpoint separately and the
-    #: identity stays independently checkable.
-    decision_backend: str = "object"
     execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
     fault_spec: str = ""
     provenance_capacity: Optional[int] = None
@@ -311,11 +317,6 @@ class ExperimentSpec:
             )
         if self.scale <= 0:
             raise ExperimentError("scale must be positive")
-        if self.decision_backend not in DECISION_BACKENDS:
-            raise ExperimentError(
-                "decision_backend must be one of %s, not %r"
-                % ("/".join(DECISION_BACKENDS), self.decision_backend)
-            )
         if self.pps < 1:
             raise ExperimentError("pps must be >= 1")
         if (
@@ -405,6 +406,7 @@ class ExperimentSpec:
             elif isinstance(value, tuple):
                 value = list(value)
             out[spec_field.name] = value
+        out["decision_backend"] = _DECISION_BACKEND
         return out
 
     #: Flat execution keys that schema-3 documents (and the legacy
@@ -421,10 +423,18 @@ class ExperimentSpec:
             )
         known = {f.name for f in dataclasses.fields(cls)}
         known.update(cls._LEGACY_EXECUTION_KEYS)
-        unknown = sorted(set(data) - known - {"schema"})
+        unknown = sorted(
+            set(data) - known - {"schema", "decision_backend"}
+        )
         if unknown:
             raise ExperimentError(
                 "unknown ExperimentSpec field(s): %s" % ", ".join(unknown)
+            )
+        backend = data.get("decision_backend", _DECISION_BACKEND)
+        if backend not in _LEGACY_DECISION_BACKENDS:
+            raise ExperimentError(
+                "decision_backend must be one of %s, not %r"
+                % ("/".join(_LEGACY_DECISION_BACKENDS), backend)
             )
         kwargs = {k: v for k, v in data.items() if k in known}
         if isinstance(kwargs.get("execution"), Mapping):
@@ -555,7 +565,6 @@ def build_runner(
         return ExperimentRunner(
             ecosystem, spec.experiment, seed=spec.run_seed,
             schedule=schedule, seed_plan=seed_plan, pps=spec.pps,
-            decision_backend=spec.decision_backend,
         )
     from .experiment.parallel import ShardedRunner
 
@@ -565,7 +574,6 @@ def build_runner(
         workers=effective_workers, shard_size=policy.shard_size,
         shard_timeout=policy.shard_timeout, fault_plan=fault_plan,
         max_retries=policy.max_retries, backoff_base=policy.backoff_base,
-        decision_backend=spec.decision_backend,
         backend=effective_backend,
     )
 

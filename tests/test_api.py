@@ -159,14 +159,28 @@ def test_digest_changes_with_simulation_fields():
     # Execution fields are part of the spec (they describe *how* to
     # run), so they key distinct checkpoints too — never colliding.
     assert base.replace(workers=2).digest() != base.digest()
-    # The decision backend never changes results, but it keys its own
-    # checkpoints so a backend comparison never resumes into itself.
-    assert base.replace(decision_backend="array").digest() != base.digest()
 
 
-def test_spec_rejects_unknown_decision_backend():
+def test_from_dict_reads_legacy_decision_backend():
+    """Schema-4 documents carry ``decision_backend``; the retired
+    ``array`` value is accepted and dropped like ``object`` (both always
+    produced identical results), anything else is rejected, and the
+    constant key is still written so digests stay pinned."""
+    base = ExperimentSpec()
+    assert base.as_dict()["decision_backend"] == "object"
+    for legacy in ("object", "array"):
+        data = dict(base.as_dict(), decision_backend=legacy)
+        spec = ExperimentSpec.from_dict(data)
+        assert spec == base
+        assert spec.digest() == base.digest()
+    schema3 = dict(base.as_dict(), schema=3, decision_backend="array")
+    assert ExperimentSpec.from_dict(schema3) == base
     with pytest.raises(ExperimentError, match="decision_backend"):
-        ExperimentSpec(decision_backend="simd")
+        ExperimentSpec.from_dict(
+            dict(base.as_dict(), decision_backend="simd")
+        )
+    with pytest.raises(TypeError):
+        ExperimentSpec(decision_backend="object")
 
 
 def test_from_dict_rejects_unknown_fields_and_schemas():

@@ -1,9 +1,9 @@
 """The what-if facade: warm sessions, delta parsing, snapshot-cached
 queries, and the ``repro whatif`` CLI surface.
 
-The heavyweight identity checks (warm state vs cold replay, backend
-equivalence) live in ``test_differential.py::TestDeltaConvergence``;
-this module covers the session/CLI semantics around them.
+The heavyweight identity checks (warm state vs cold replay) live in
+``test_differential.py::TestDeltaConvergence``; this module covers the
+session/CLI semantics around them.
 """
 
 import pytest
