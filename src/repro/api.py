@@ -68,11 +68,7 @@ from .experiment.scheduler import (
     TaskResult,
 )
 from .faults import FaultPlan, parse_fault_spec
-from .obs.provenance import (
-    DEFAULT_CAPACITY,
-    ProvenanceRecorder,
-    use_provenance,
-)
+from .obs.lens import attach_artifacts, capture_for_spec
 from .rng import SeedTree
 from .seeds.selection import SeedPlan, select_seeds
 from .topology.re_config import (
@@ -606,7 +602,9 @@ def run_experiment(
     same way: a run-local :class:`~repro.obs.frontier.FrontierTrace` /
     :class:`~repro.obs.profile.PhaseProfiler` is installed only when
     none is active, and its output lands on
-    ``result.frontier_events`` / ``result.profile``.
+    ``result.frontier_events`` / ``result.profile``
+    (:func:`repro.obs.lens.capture_for_spec`, shared with campaign
+    cells).
 
     *progress_hook*, when given, is called with keyword fields
     (``phase``, ``rounds_completed``, ``shards_completed``, ...) as
@@ -614,38 +612,14 @@ def run_experiment(
     and status consoles hang off.  Strictly observational; it never
     changes results.
     """
-    from contextlib import ExitStack
-
-    from .obs.frontier import FrontierTrace, active_frontier, use_frontier
-    from .obs.profile import PhaseProfiler, active_profiler, use_profiling
-    from .obs.provenance import active_recorder
-
     runner = build_runner(
         spec, ecosystem, seed_plan, workers=workers, backend=backend
     )
     if progress_hook is not None:
         runner.progress_hook = progress_hook
-    recorder = trace = profiler = None
-    with ExitStack() as stack:
-        if spec.wants_provenance and active_recorder() is None:
-            recorder = ProvenanceRecorder(
-                capacity=spec.provenance_capacity or DEFAULT_CAPACITY,
-                prefix_filter=spec.provenance_prefixes or None,
-            )
-            stack.enter_context(use_provenance(recorder))
-        if spec.wants_frontier and active_frontier() is None:
-            trace = FrontierTrace(capacity=spec.frontier_capacity)
-            stack.enter_context(use_frontier(trace))
-        if spec.wants_profile and active_profiler() is None:
-            profiler = PhaseProfiler()
-            stack.enter_context(use_profiling(profiler))
+    with capture_for_spec(spec) as artifacts:
         result = runner.run()
-    if recorder is not None:
-        result.provenance_events = recorder.events()
-    if trace is not None:
-        result.frontier_events = trace.events()
-    if profiler is not None:
-        result.profile = profiler.as_payload()
+    attach_artifacts(result, artifacts)
     return result
 
 

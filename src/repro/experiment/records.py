@@ -42,36 +42,17 @@ class ShardOutcome:
     (:func:`repro.probing.prober.response_row`) in the shard's global
     probe order; the parent rehydrates :class:`ProbeResponse` objects
     against its own target table, so neither targets nor response
-    objects are pickled across the process boundary.
-
-    ``metrics`` is the worker's isolated registry snapshot
-    (:meth:`repro.obs.MetricsRegistry.snapshot`), merged into the
-    parent registry; ``trace`` is the shard's completed span tree
-    (:meth:`repro.obs.SpanRecord.as_dict`), re-attached under the
-    parent's round span.
-
-    ``provenance`` carries the shard's ``kind="signal"`` provenance
-    events (one per probed prefix, in the shard's prefix order) when
-    the parent had a recorder active; the parent extends its ring with
-    them in shard order, reproducing the serial event stream byte for
-    byte (see :mod:`repro.obs.provenance`).
-
-    ``frontier`` carries one ``(prefix, signal)`` row per probed
-    prefix (shard prefix order) when the parent has a frontier trace
-    active; the parent concatenates rows in shard order — contiguous
-    blocks of the round's sorted prefix order — so the round-frontier
-    diff it computes matches the serial stream byte for byte (see
-    :mod:`repro.obs.frontier`).
+    objects are pickled across the process boundary.  The parent also
+    builds every provenance signal event and round-frontier row from
+    those responses, so a shard carries no lens data; a pool worker's
+    metrics, spans and profile phases travel in the scheduler's
+    ``obs`` payload instead (:mod:`repro.obs.lens`).
     """
 
     shard_id: int
     rows: List[Optional[tuple]]
     probe_count: int
     wall_seconds: float
-    metrics: dict = field(default_factory=dict)
-    trace: Optional[dict] = None
-    provenance: List[dict] = field(default_factory=list)
-    frontier: List[tuple] = field(default_factory=list)
 
 
 @dataclass

@@ -89,10 +89,8 @@ class ExperimentRunner:
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._degradations: list = []
         # Round-frontier state: the previous round's prefix -> signal
-        # map (diffed against each new round) and, for the sharded
-        # runner, rows shipped back by the current round's workers.
+        # map, diffed against each new round.
         self._frontier_prev: Optional[Dict[str, str]] = None
-        self._frontier_rows = None
         #: Optional progress callback (``hook(**fields)``) fired as the
         #: run advances — campaign heartbeats hang off it.  Strictly
         #: observational: exceptions are swallowed, results untouched.
@@ -365,25 +363,20 @@ class ExperimentRunner:
         """Record one ``kind="round_frontier"`` event: how many probed
         prefixes' round signal changed since the previous round.
 
-        Rows come from the shard workers when the sharded runner
-        collected them this round (shipped in ``ShardOutcome.frontier``
-        and folded in shard order), otherwise from the serial round
-        result; both derive per-prefix signals through
-        :func:`~repro.obs.frontier.signal_rows`, so the event — and the
+        Rows derive from the round result, which the serial and the
+        sharded runner build identically, so the event — and the
         exported JSONL — is byte-identical across execution modes.
         """
-        rows, self._frontier_rows = self._frontier_rows, None
         trace = active_frontier()
         if trace is None:
             return
-        if rows is None:
-            responses = round_result.responses
-            rows = signal_rows(
-                (prefix, responses[prefix])
-                for prefix in sorted(
-                    responses, key=lambda p: (p.network, p.length)
-                )
+        responses = round_result.responses
+        rows = signal_rows(
+            (prefix, responses[prefix])
+            for prefix in sorted(
+                responses, key=lambda p: (p.network, p.length)
             )
+        )
         event = round_frontier_event(
             index, config_label, rows, self._frontier_prev
         )

@@ -51,6 +51,13 @@ plug-in, not a rewrite, provided it honours:
     shipped with each task and consulted by nested ``resolve_backend``
     calls, so a cell granted two inner workers can open a shard pool
     while its ungranted neighbours are throttled to inline probing.
+``remote``
+    Whether tasks run in another process.  A remote task runs under
+    isolated observability lenses (:func:`repro.obs.lens.run_isolated`)
+    and returns its value plus one ``obs`` payload keyed by lens name;
+    the scheduler folds that payload into this process's lenses in
+    task order, before ``on_result``.  A local (inline) task records
+    straight into this process's lenses.
 
 Process state
 -------------
@@ -78,6 +85,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from ..errors import ExperimentError
 from ..faults import InjectedFault
 from ..obs import get_logger
+from ..obs.lens import merge_obs, run_isolated
 
 __all__ = [
     "DEFAULT_BACKOFF_BASE",
@@ -197,8 +205,11 @@ def _init_fork_worker(context: Any, name: str) -> None:
     _POOL_DEPTH += 1
 
 
-def _enter_task(may_fork: bool, fn: Callable, args: Tuple) -> Any:
-    """Run *fn* with the task's fork grant installed.  Submitted to
+def _enter_task(
+    may_fork: bool, remote: bool, fn: Callable, args: Tuple
+) -> Tuple[Any, Optional[dict]]:
+    """Run *fn* with the task's fork grant installed; returns its
+    value and ``obs`` payload (None unless *remote*).  Submitted to
     pool workers (and run by the inline backend) so nested
     :func:`resolve_backend` calls see the claim the scheduler
     granted."""
@@ -206,7 +217,9 @@ def _enter_task(may_fork: bool, fn: Callable, args: Tuple) -> Any:
     previous = _FORK_GRANT
     _FORK_GRANT = may_fork
     try:
-        return fn(*args)
+        if remote:
+            return run_isolated(fn, args)
+        return fn(*args), None
     finally:
         _FORK_GRANT = previous
 
@@ -312,6 +325,7 @@ class ExecutionBackend:
     name: str = "abstract"
     capacity: int = 1
     context: Any = None
+    remote: bool = False
 
     def start(self) -> "ExecutionBackend":
         return self
@@ -334,10 +348,10 @@ class ExecutionBackend:
 
 class InlineBackend(ExecutionBackend):
     """Same-process backend: tasks run eagerly on ``submit`` with the
-    backend context installed, through the exact code path pool
-    workers use, so ``workers=1`` and fork-less platforms exercise the
-    full snapshot/merge machinery.  Also the scheduler's last-resort
-    fallback executor — inline execution cannot crash or hang."""
+    backend context installed, through the task wrapper pool workers
+    use, recording straight into this process's observability lenses.
+    Also the scheduler's last-resort fallback executor — inline
+    execution cannot crash or hang."""
 
     name = "inline"
     capacity = 1
@@ -379,6 +393,7 @@ class ForkPoolBackend(ExecutionBackend):
     """
 
     name = "fork"
+    remote = True
 
     def __init__(self, context: Any = None, workers: int = 2) -> None:
         if workers < 1:
@@ -571,8 +586,8 @@ class Scheduler:
         through the same resolve-time recovery as an async crash."""
         try:
             return self.backend.submit(
-                _enter_task, task.claim.may_fork, task.fn,
-                self._args(task, first),
+                _enter_task, task.claim.may_fork, self.backend.remote,
+                task.fn, self._args(task, first),
             )
         except self.policy.recoverable as error:
             future: Future = Future()
@@ -580,9 +595,11 @@ class Scheduler:
             return future
 
     def _await(self, future: Future) -> Any:
-        if self.policy.timeout is not None:
-            return future.result(timeout=self.policy.timeout)
-        return future.result()
+        """A task's value, its ``obs`` payload folded in on the way."""
+        value, obs = future.result(timeout=self.policy.timeout)
+        if obs:
+            merge_obs(obs)
+        return value
 
     def _resolve(self, task: Task, future: Future) -> TaskResult:
         policy = self.policy
@@ -646,11 +663,11 @@ class Scheduler:
             self._rebuild_broken_backend()
         fallback = InlineBackend(self.backend.context)
         future = fallback.submit(
-            _enter_task, task.claim.may_fork, task.fn,
+            _enter_task, task.claim.may_fork, fallback.remote, task.fn,
             self._args(task, first=False),
         )
         try:
-            value = future.result()
+            value = self._await(future)
         except Exception as fallback_error:
             return TaskResult(
                 key=task.key, error=fallback_error,

@@ -27,7 +27,9 @@ Zero-dependency instrumentation for the engine → runner → CLI stack:
 - :mod:`repro.obs.profile` — deterministic phase profiler: cProfile
   hotspots (or counter-based attribution) aggregated per span phase,
   exported as mergeable JSON payloads (``--profile-out`` /
-  ``repro profile``).
+  ``repro profile``);
+- :mod:`repro.obs.lens` — the one protocol that isolates the lenses
+  above in pool tasks and merges their payloads back in task order.
 
 Everything is off-by-default and adds near-zero overhead when idle:
 hot paths accumulate into locals and flush per convergence run or per

@@ -31,12 +31,13 @@ Recording is **off by default** and costs one function call returning
 ``None`` per engine/fastpath run when disabled
 (``benchmarks/bench_profile.py`` guards the enabled path under 5%).
 Events are built from simulation state only — no wall clocks, no
-object ids — so the stream joins the byte-identity contract: shard
-workers ship per-prefix signal rows back in
-:class:`~repro.experiment.records.ShardOutcome` and the parent folds
-them in shard order, making ``--frontier-out`` JSONL byte-identical at
-every ``--workers`` / ``--shard-size`` (asserted in
-``tests/test_differential.py``).
+object ids — so the stream joins the byte-identity contract: the
+round-frontier rows derive from the round result, which the sharded
+runner rebuilds in the parent exactly as the serial prober builds it,
+and pool tasks ship their trace's events back through the frontier
+lens (:mod:`repro.obs.lens`), folded in task order — making
+``--frontier-out`` JSONL byte-identical at every ``--workers`` /
+``--shard-size`` (asserted in ``tests/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ class FrontierTrace:
             self._events.append(event)
 
     def extend(self, events: Iterable[dict]) -> None:
-        """Append *events* in order — the shard/cell-merge entry point.
-        Merging worker streams in shard (then cell) order reproduces
-        the serial stream byte for byte."""
+        """Append *events* in order — the lens-merge entry point.
+        Merging pool-task streams in task order reproduces the serial
+        stream byte for byte."""
         for event in events:
             self.record(event)
 
@@ -412,10 +413,10 @@ def signal_rows(prefix_responses) -> List[Tuple[str, str]]:
     """Per-prefix ``(prefix, signal)`` rows for one probing round.
 
     *prefix_responses* yields ``(prefix, responses)`` pairs in probe
-    order (sorted prefixes).  Shard workers and the serial prober both
-    derive rows through :func:`~repro.obs.provenance.round_signal_summary`,
-    so the rows — and everything diffed from them — are identical
-    whichever path produced them.
+    order (sorted prefixes).  Rows derive through
+    :func:`~repro.obs.provenance.round_signal_summary`, the aggregation
+    behind the provenance signal events, so the rows and the events
+    always agree.
     """
     return [
         (str(prefix), str(round_signal_summary(responses)["signal"]))

@@ -288,9 +288,9 @@ class MetricsRegistry:
 
         Counters add, gauges take the incoming value (last write wins,
         matching :meth:`Gauge.set` semantics), histograms merge bucket
-        counts.  This is how per-shard worker registries are folded
-        into the parent registry after a parallel probing round; the
-        operation is associative, so shards can be merged in any order
+        counts.  This is how the metrics lens (:mod:`repro.obs.lens`)
+        folds a pool task's registry into the parent registry; the
+        operation is associative, so tasks can be merged in any order
         without changing the totals.
         """
         if not self.enabled:

@@ -15,12 +15,12 @@ counter-based phase attribution (calls + inclusive wall seconds).
 
 Aggregation is per phase *name*, and the span names carry the
 (config, round, shard) context; the profiler adds ``labels`` (e.g.
-the campaign cell) for the remaining axes.  Shard
-and campaign-cell workers run in forked processes: their span trees
-ship back in ``ShardOutcome``/``CellOutcome`` and are folded in with
-:meth:`PhaseProfiler.fold_trace` (counter attribution) or
-:meth:`PhaseProfiler.merge_payload` (full payloads, cell order), so a
-pooled run's tables cover the whole fleet.
+the campaign cell) for the remaining axes.  The profiler is one of the
+observability lenses (:mod:`repro.obs.lens`): a shard or cell task in
+a pool worker records into a fresh local profiler whose payload the
+parent folds with :meth:`PhaseProfiler.merge_payload` in task order,
+while inline tasks record straight into the parent's profiler, so a
+run's tables cover the whole fleet and count every phase once.
 
 Profiling is **opt-in** and *execution metadata*: payloads contain
 wall-clock timings and so live outside every byte-identity surface
@@ -36,7 +36,6 @@ import io
 import json
 import os
 import pstats
-import sys
 import threading
 from typing import Dict, List, Optional
 
@@ -49,7 +48,6 @@ __all__ = [
     "disable_profiling",
     "set_profiler",
     "use_profiling",
-    "disarm_inherited_profile",
     "render_profile",
     "load_profile",
     "export_profile",
@@ -112,8 +110,8 @@ class PhaseProfiler:
 
     def owns_process(self) -> bool:
         """False in a forked child that inherited this profiler (the
-        child must not mutate the parent's aggregates — see
-        :func:`disarm_inherited_profile`)."""
+        child must not mutate the parent's aggregates; the profile
+        lens isolates it)."""
         return os.getpid() == self._pid
 
     def phase_enter(self, record: spans.SpanRecord) -> None:
@@ -161,23 +159,9 @@ class PhaseProfiler:
 
     # -- fold-in from other processes ---------------------------------
 
-    def fold_trace(self, tree: Optional[dict]) -> None:
-        """Fold one exported span tree (a
-        :meth:`~repro.obs.spans.SpanRecord.as_dict` shipped back from
-        a shard/cell worker) into the per-phase counters — the
-        counter-based attribution path for work this process never
-        executed."""
-        if not tree:
-            return
-        self._note_phase(
-            tree.get("name", "?"), 1, float(tree.get("duration") or 0.0)
-        )
-        for child in tree.get("children", ()):
-            self.fold_trace(child)
-
     def merge_payload(self, payload: Optional[dict]) -> None:
-        """Fold another profiler's :meth:`as_payload` export (a pooled
-        campaign cell's profile) into this one.  Associative, so cells
+        """Fold another profiler's :meth:`as_payload` export (a pool
+        task's profile) into this one.  Associative, so cells
         merge in cell order without ordering artifacts."""
         if not payload:
             return
@@ -315,7 +299,7 @@ def disable_profiling() -> Optional[PhaseProfiler]:
 
 class use_profiling:
     """Context manager installing a profiler for a ``with`` block —
-    the isolation primitive for tests and campaign-cell workers."""
+    the isolation primitive for tests and the profile lens."""
 
     def __init__(self, profiler: Optional[PhaseProfiler] = None) -> None:
         self.profiler = (
@@ -329,21 +313,6 @@ class use_profiling:
 
     def __exit__(self, *exc_info) -> None:
         set_profiler(self._previous)
-
-
-def disarm_inherited_profile() -> bool:
-    """Worker-entry guard: a ``fork`` child inherits the parent's
-    profiler singleton *and*, if the fork happened inside a profiled
-    phase, the thread's live cProfile hook.  Shard and cell workers
-    call this first: it clears any foreign profiler and drops the
-    inherited profiling hook so worker timings are not skewed.
-    Returns True when something was disarmed."""
-    profiler = active_profiler()
-    if profiler is None or profiler.owns_process():
-        return False
-    set_profiler(None)
-    sys.setprofile(None)
-    return True
 
 
 # -- artifacts and rendering ------------------------------------------

@@ -26,11 +26,13 @@ per decision (guarded, with the rest of the obs stack, by
 ``benchmarks/bench_obs_overhead.py``).
 
 Determinism: events are plain dicts built from simulation state only
-(no wall clocks, no object ids), shard workers ship their per-prefix
-signal events back in :class:`~repro.experiment.records.ShardOutcome`
-and the parent extends its ring in shard order — so the merged stream
-is byte-identical to a serial run's at every ``--workers`` /
-``--shard-size`` (asserted in ``tests/test_differential.py``).
+(no wall clocks, no object ids).  The sharded runner records each
+prefix's signal event in the parent from the rebuilt responses, in
+shard order, and pool tasks ship their recorder's events back through
+the provenance lens (:mod:`repro.obs.lens`), folded in task order — so
+the merged stream is byte-identical to a serial run's at every
+``--workers`` / ``--shard-size`` (asserted in
+``tests/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -243,12 +245,12 @@ class ProvenanceRecorder:
             self._events.append(event)
 
     def extend(self, events: Iterable[dict]) -> None:
-        """Append *events* in order — the shard-merge entry point.
+        """Append *events* in order — the lens-merge entry point.
 
-        Filtering already happened where the events were built (shard
-        workers carry the same ``prefix_filter``), so this appends
-        verbatim: merged shard streams reproduce the serial stream
-        byte for byte.
+        Filtering already happened where the events were built (an
+        isolated recorder carries the same ``prefix_filter``), so this
+        appends verbatim: pool-task streams merged in task order
+        reproduce the serial stream byte for byte.
         """
         for event in events:
             self.record(event)
@@ -393,8 +395,8 @@ class use_provenance:
 
 def round_signal_summary(responses) -> Dict[str, object]:
     """Aggregate one prefix's round responses into signal-event fields
-    (shared by the serial prober and shard workers so both build
-    identical events)."""
+    (shared by the serial prober, the sharded runner's merge and the
+    round-frontier rows, so every path builds identical events)."""
     kinds = set()
     origins = set()
     responded = 0

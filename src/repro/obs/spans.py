@@ -119,11 +119,11 @@ def reset_trace() -> None:
 def detached_trace():
     """Run a block against a fresh, empty span stack.
 
-    Shard workers wrap their probing in this so their spans never nest
-    under (or corrupt) whatever stack the caller — or, under ``fork``,
-    the parent process at fork time — had open.  The previous stack and
+    The metrics lens (:mod:`repro.obs.lens`) runs every pool task in
+    this so its spans never nest under (or corrupt) whatever stack the
+    parent process had open at fork time.  The previous stack and
     roots are restored on exit; the block's completed roots are
-    discarded (the worker exports them explicitly via
+    discarded (the lens exports them explicitly via
     :meth:`SpanRecord.as_dict`).
     """
     saved_stack, saved_roots = _state.stack, _state.roots

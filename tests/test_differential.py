@@ -35,10 +35,13 @@ from repro.bgp.engine import (
 from repro.core.classify import classify_experiment, origin_map
 from repro.core.explain import render_explanation
 from repro.core.report import reproduce_paper
+from repro.experiment.campaign import run_experiment_pair
 from repro.experiment.parallel import ShardedRunner
 from repro.experiment.runner import ExperimentRunner
+from repro.experiment.scheduler import fork_available
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.obs.frontier import FrontierTrace, use_frontier
+from repro.obs.profile import PhaseProfiler, use_profiling
 from repro.obs.provenance import ProvenanceRecorder, use_provenance
 from repro.rng import SeedTree
 
@@ -472,6 +475,47 @@ class TestFrontierDifferential:
             )
         )
         assert faulted_jsonl == streams["serial"]
+
+
+# ---------------------------------------------------------------------
+# Parent lenses through pooled campaign cells
+
+
+def _pair_parent_lenses(ecosystem, workers):
+    """Run the surf/internet2 pair under an active recorder, frontier
+    trace and counter-mode profiler; returns both JSONL streams and
+    the profile's phase -> calls table."""
+    recorder, trace = ProvenanceRecorder(), FrontierTrace()
+    profiler = PhaseProfiler(use_cprofile=False)
+    with use_provenance(recorder), use_frontier(trace), \
+            use_profiling(profiler):
+        run_experiment_pair(ecosystem, seed=0, workers=workers)
+    assert recorder.dropped == 0 and trace.dropped == 0
+    provenance, frontier = io.StringIO(), io.StringIO()
+    recorder.export_jsonl(provenance)
+    trace.export_jsonl(frontier)
+    calls = {
+        name: data["calls"]
+        for name, data in profiler.as_payload()["phases"].items()
+    }
+    return provenance.getvalue(), frontier.getvalue(), calls
+
+
+@pytest.mark.skipif(not fork_available(), reason="fork unavailable")
+class TestPooledCellParentLenses:
+    """Pooled cells fold their lens payloads into the parent's lenses
+    in cell order: the parent ends up with exactly what inline cells
+    record into it directly, campaign.cell.* phases included."""
+
+    def test_pooled_matches_inline(self):
+        ecosystem = build_ecosystem(REEcosystemConfig(scale=0.05), seed=0)
+        inline = _pair_parent_lenses(ecosystem, workers=1)
+        pooled = _pair_parent_lenses(ecosystem, workers=2)
+        assert inline[0] and inline[1]
+        assert pooled[0] == inline[0], "provenance diverged"
+        assert pooled[1] == inline[1], "frontier diverged"
+        assert pooled[2] == inline[2], "phase calls diverged"
+        assert "campaign.cell.surf/seed0/baseline" in pooled[2]
 
 
 # ---------------------------------------------------------------------

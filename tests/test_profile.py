@@ -8,18 +8,21 @@ profiler) is exercised in tests/test_differential.py.
 """
 
 import json
+import sys
 import time
 
 import pytest
 
+from repro import REEcosystemConfig, build_ecosystem
 from repro.cli import main
+from repro.experiment.parallel import ShardedRunner
+from repro.obs.lens import LENSES
 from repro.obs.profile import (
     DEFAULT_TOP_N,
     PROFILE_SCHEMA_VERSION,
     PhaseProfiler,
     active_profiler,
     disable_profiling,
-    disarm_inherited_profile,
     enable_profiling,
     export_profile,
     load_profile,
@@ -94,19 +97,6 @@ class TestPhaseProfiler:
         payload = profiler.as_payload()
         assert payload["phases"]["phase.outer"]["calls"] == 1
         assert payload["phases"]["phase.inner"]["calls"] == 1
-
-    def test_fold_trace_attributes_foreign_spans(self):
-        profiler = PhaseProfiler(use_cprofile=False)
-        profiler.fold_trace({
-            "name": "runner.shard.0", "duration": 0.5,
-            "children": [
-                {"name": "engine.run_to_fixpoint", "duration": 0.4},
-            ],
-        })
-        profiler.fold_trace(None)  # ignored
-        payload = profiler.as_payload()
-        assert payload["phases"]["runner.shard.0"]["seconds"] == 0.5
-        assert payload["phases"]["engine.run_to_fixpoint"]["calls"] == 1
 
     def test_merge_payload_sums_and_labels(self):
         def one(label):
@@ -185,21 +175,6 @@ class TestSingleton:
             assert active_profiler() is inner
         assert active_profiler() is outer
 
-    def test_disarm_noop_in_owning_process(self):
-        enable_profiling(use_cprofile=False)
-        assert disarm_inherited_profile() is False
-        assert active_profiler() is not None
-
-    def test_disarm_clears_foreign_profiler(self, monkeypatch):
-        profiler = PhaseProfiler(use_cprofile=False)
-        # Fake a fork child: the inherited profiler carries the
-        # parent's pid, so it does not own this process.
-        monkeypatch.setattr(profiler, "_pid", -1)
-        assert not profiler.owns_process()
-        set_profiler(profiler)
-        assert disarm_inherited_profile() is True
-        assert active_profiler() is None
-
     def test_foreign_profiler_records_nothing(self, monkeypatch):
         profiler = PhaseProfiler(use_cprofile=False)
         monkeypatch.setattr(profiler, "_pid", -1)
@@ -207,6 +182,81 @@ class TestSingleton:
             with span("phase.ghost"):
                 pass
         assert profiler.as_payload()["phases"] == {}
+
+
+# ---------------------------------------------------------------------
+# The profile lens (repro.obs.lens)
+
+PROFILE_LENS = next(lens for lens in LENSES if lens.name == "profile")
+
+
+class TestProfileLens:
+    def test_isolate_noop_without_profiler(self):
+        with PROFILE_LENS.isolate():
+            assert active_profiler() is None
+            assert PROFILE_LENS.payload() is None
+        assert active_profiler() is None
+
+    def test_isolate_in_owning_process_keeps_hook(self):
+        outer = enable_profiling(use_cprofile=False, top_n=5)
+        hook = sys.getprofile()
+        with PROFILE_LENS.isolate():
+            inner = active_profiler()
+            assert inner is not outer and inner.owns_process()
+            assert (inner.use_cprofile, inner.top_n) == (False, 5)
+            assert sys.getprofile() is hook
+        assert active_profiler() is outer
+
+    def test_isolate_replaces_foreign_profiler(self, monkeypatch):
+        profiler = PhaseProfiler(use_cprofile=False)
+        # Fake a fork child: the inherited profiler carries the
+        # parent's pid, so it does not own this process; the hook
+        # stands in for the live cProfile hook a fork can inherit.
+        monkeypatch.setattr(profiler, "_pid", -1)
+        assert not profiler.owns_process()
+        set_profiler(profiler)
+        sys.setprofile(lambda *args: None)
+        try:
+            with PROFILE_LENS.isolate():
+                assert sys.getprofile() is None
+                local = active_profiler()
+                assert local is not profiler and local.owns_process()
+                with span("phase.task"):
+                    pass
+                payload = PROFILE_LENS.payload()
+        finally:
+            sys.setprofile(None)
+        assert payload["phases"]["phase.task"]["calls"] == 1
+        # The inert inherited profiler comes back: its presence is
+        # what tells the next task that the parent wants profiles.
+        assert active_profiler() is profiler
+        assert profiler.as_payload()["phases"] == {}
+
+
+@pytest.fixture(scope="module")
+def small_ecosystem():
+    return build_ecosystem(REEcosystemConfig(scale=0.05), seed=0)
+
+
+class TestShardPhases:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_shard_phase_counted_once_per_round(
+        self, small_ecosystem, workers
+    ):
+        """Inline shards record into the parent profiler live and pool
+        shards ship their phases back; either way each shard phase
+        counts exactly one call per probing round."""
+        with use_profiling(PhaseProfiler(use_cprofile=False)) as profiler:
+            result = ShardedRunner(
+                small_ecosystem, "surf", seed=0, workers=workers
+            ).run()
+        phases = profiler.as_payload()["phases"]
+        shard_calls = {
+            name: data["calls"] for name, data in phases.items()
+            if name.startswith("runner.shard.")
+        }
+        assert shard_calls
+        assert set(shard_calls.values()) == {len(result.rounds)}
 
 
 # ---------------------------------------------------------------------
