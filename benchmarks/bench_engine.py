@@ -59,7 +59,7 @@ def test_fastpath_propagation(benchmark, bench_ecosystem, bench_emit):
     )
 
 
-def test_collector_rib_build(benchmark, bench_ecosystem):
+def test_collector_rib_build(benchmark, bench_ecosystem, bench_emit):
     eco = bench_ecosystem
     rib = benchmark.pedantic(
         build_collector_rib, args=(eco, [eco.ripe_asn]),
@@ -77,3 +77,8 @@ def test_collector_rib_build(benchmark, bench_ecosystem):
     assert rib.memo_hits > 0
     origins = {p.origin_asn for p in eco.studied_prefixes()}
     assert rib.fastpath_runs < len(origins)
+    bench_emit.update(
+        fastpath_runs=rib.fastpath_runs,
+        memo_hits=rib.memo_hits,
+        prefixes_resolved=len(rib.routes_of(eco.ripe_asn)),
+    )

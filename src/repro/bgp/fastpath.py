@@ -8,16 +8,26 @@ route age are irrelevant, and as an oracle in tests: at fixpoint the
 event-driven engine and the fastpath must agree whenever no AS uses the
 route-age tie-break.
 
-The relaxation is a policy-aware Bellman-Ford: ASes whose best route
-changed re-export to eligible neighbors until quiescence.  Under
+The relaxation is a FIFO policy-aware Bellman-Ford: ASes whose best
+route changed re-export to eligible neighbors until quiescence.  Under
 valley-free (Gao-Rexford + R&E fabric) export and monotone preferences
 this converges to the unique stable solution.
+
+The relaxation reads each edge's policy from a :class:`FastpathView`:
+per sender, its neighbor rows (relationship, fabric flag, export
+prepends and filters, the receiver's import localpref and ROV flag),
+plus a per-AS decision-process cache.  A view is filled on first use
+and snapshots policy as it stands then, so it lives no longer than one
+call that keeps policy fixed: ``propagate_fastpath`` builds a fresh one
+when given none, and ``build_collector_rib`` shares one across its
+propagations.  A view is never stored on a topology, an ecosystem or a
+module global.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import EngineError
 from ..netutil import Prefix
@@ -26,7 +36,8 @@ from ..obs.frontier import FastpathRunFrontier, active_frontier
 from ..obs.provenance import active_recorder, selection_event
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route
-from .policy import may_export
+from .decision import DecisionProcess
+from .policy import Rel, may_export
 from .router import LOCAL_ROUTE_LOCALPREF
 from .rpki import rov_drops_route
 
@@ -57,12 +68,84 @@ class FastpathResult:
         return [rib[key] for key in sorted(rib)]
 
 
+
+
+_NO_TAGS: FrozenSet[str] = frozenset()
+
+
+class FastpathView:
+    """The per-edge policy of one topology, compiled for the relaxation.
+
+    Rows, links and decision processes are filled on first use and
+    never refreshed, so a view must not outlive a policy edit (see the
+    module docstring for the lifetime rule).
+    """
+
+    __slots__ = ("topology", "processes", "_rows", "_links")
+
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        #: ASN → its :class:`DecisionProcess`, filled by the relaxation.
+        self.processes: Dict[int, DecisionProcess] = {}
+        self._rows: Dict[int, Tuple[tuple, ...]] = {}
+        self._links: Dict[Tuple[int, int], Tuple[Rel, bool]] = {}
+
+    def rows(self, sender: int) -> Tuple[tuple, ...]:
+        """*sender*'s export rows, one per neighbor in ASN order.
+
+        A row is ``(receiver, to_rel, to_fabric, prepends, no_export,
+        no_export_tags, import_localpref, enforce_rov)``: the receiver's
+        relationship from the sender and whether the link rides the R&E
+        fabric; the sender's extra self-prepends toward it, whether it
+        is in the sender's ``no_export_to`` and the tags the sender
+        never exports to it; and the receiver's localpref for routes
+        from the sender and its ROV flag.  Plain tuples keep the
+        one-shot build cheap.
+        """
+        rows = self._rows.get(sender)
+        if rows is None:
+            topology = self.topology
+            policy = topology.node(sender).policy
+            neighbors = topology.neighbors(sender)
+            built = []
+            for receiver in sorted(neighbors):
+                receiver_policy = topology.node(receiver).policy
+                built.append((
+                    receiver,
+                    neighbors[receiver],
+                    topology.is_fabric(sender, receiver),
+                    policy.prepends_toward(receiver),
+                    receiver in policy.no_export_to,
+                    frozenset(policy.no_export_tags.get(receiver, _NO_TAGS)),
+                    receiver_policy.localpref_for(
+                        sender, topology.rel(receiver, sender)
+                    ),
+                    receiver_policy.enforce_rov,
+                ))
+            rows = self._rows[sender] = tuple(built)
+        return rows
+
+    def link(self, sender: int, neighbor: int) -> Tuple[Rel, bool]:
+        """``(rel, fabric)`` of *neighbor* from *sender*, the inputs
+        :func:`~repro.bgp.policy.may_export` needs for the session a
+        route was learned over."""
+        key = (sender, neighbor)
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = (
+                self.topology.rel(sender, neighbor),
+                self.topology.is_fabric(sender, neighbor),
+            )
+        return link
+
+
 def propagate_fastpath(
     topology: Topology,
     announcements: Iterable[Announcement],
     prefix: Optional[Prefix] = None,
     roa_table=None,
     down_links: Optional[Iterable[frozenset]] = None,
+    view: Optional[FastpathView] = None,
 ) -> FastpathResult:
     """Compute every AS's converged best route for one prefix.
 
@@ -70,7 +153,9 @@ def propagate_fastpath(
     *down_links* (an iterable of two-ASN frozensets, matching
     the engine's failed-link set) excludes those adjacencies from
     propagation, so the fastpath can oracle the engine's post-flap
-    state too.
+    state too.  *view* shares compiled edge policy across calls over
+    unchanged policy; it never changes the result.  Without one the
+    call compiles its own.
     """
     announcements = list(announcements)
     if not announcements:
@@ -81,24 +166,20 @@ def propagate_fastpath(
     for announcement in announcements:
         if announcement.prefix != the_prefix:
             raise EngineError("announcements for different prefixes")
+    if view is None:
+        view = FastpathView(topology)
+    elif view.topology is not topology:
+        raise EngineError("fastpath view built for another topology")
 
     failed: Set[frozenset] = set(down_links or ())
     result = FastpathResult(prefix=the_prefix)
-    processes = {}
-    # Decision-process cache accounting: [hits, misses], mutated by
-    # _deliver (a list keeps the hot path to one index increment).
-    cache_stats = [0, 0]
-    # Best-route selections performed, for the fastpath.selections
-    # counter.
-    selections = [0]
+    best_of = result.best
+    offers = result.offers
+    processes = view.processes
+    cache_hits = cache_misses = selections = 0
     compactions = 0
     pending: List[int] = []
     pending_set: Set[int] = set()
-
-    def enqueue(asn: int) -> None:
-        if asn not in pending_set:
-            pending_set.add(asn)
-            pending.append(asn)
 
     # Seed: origins install their local route and push first-hop offers.
     # One origin may hold several announcements of the prefix with
@@ -109,14 +190,16 @@ def propagate_fastpath(
     for announcement in announcements:
         origin = announcement.origin_asn
         origin_announcements.setdefault(origin, []).append(announcement)
-        result.best[origin] = Route(
+        best_of[origin] = Route(
             prefix=the_prefix,
             path=ASPath((origin,)),
             learned_from=None,
             localpref=LOCAL_ROUTE_LOCALPREF,
             tag=announcement.tag,
         )
-        enqueue(origin)
+        if origin not in pending_set:
+            pending_set.add(origin)
+            pending.append(origin)
 
     max_rounds = max(1, len(topology)) * _MAX_ROUNDS_FACTOR
     iterations = 0
@@ -131,6 +214,9 @@ def propagate_fastpath(
         acc = FastpathRunFrontier(
             trace_ring, trace_ring.total_recorded, the_prefix
         )
+    recorder = active_recorder()
+    if recorder is not None and not recorder.wants(the_prefix):
+        recorder = None
     with span("fastpath.propagate"):
         while cursor < len(pending):
             asn = pending[cursor]
@@ -139,23 +225,124 @@ def propagate_fastpath(
             iterations += 1
             if iterations > max_rounds + len(pending):
                 raise EngineError("fastpath failed to converge")
-            best = result.best.get(asn)
-            for neighbor in sorted(topology.neighbors(asn)):
-                if failed and frozenset((asn, neighbor)) in failed:
+            # What this AS offers: nothing, its own announcements
+            # (chosen per neighbor by tag), or its best route re-exported.
+            best = best_of.get(asn)
+            local = best is not None and best.learned_from is None
+            if local:
+                # Only seeded origins hold a local route.  Tag-scoped
+                # filters may dedicate announcements to interfaces, as
+                # on the Figure 6 host.
+                announced = origin_announcements[asn]
+            elif best is not None:
+                learned_rel, learned_fabric = view.link(
+                    asn, best.learned_from
+                )
+                best_path = best.path
+                best_asns = best_path.asns
+                best_tag = best.tag
+            for (receiver, to_rel, to_fabric, prepends, no_export,
+                 no_export_tags, import_localpref,
+                 enforce_rov) in view.rows(asn):
+                if failed and frozenset((asn, receiver)) in failed:
                     continue
-                offered = _exported_route(
-                    topology, asn, neighbor, best,
-                    origin_announcements.get(asn),
-                )
-                changed = _deliver(
-                    topology, result, processes, asn, neighbor, offered,
-                    roa_table, cache_stats, selections,
-                )
-                if changed:
-                    enqueue(neighbor)
+                path = None
+                if best is None or no_export:
+                    pass
+                elif local:
+                    for chosen in announced:
+                        if chosen.tag not in no_export_tags:
+                            path = ASPath.origin_path(
+                                asn,
+                                prepends + chosen.prepends_toward(receiver),
+                            )
+                            tag = chosen.tag
+                            break
+                elif (
+                    best_tag not in no_export_tags
+                    and may_export(learned_rel, to_rel,
+                                   learned_fabric=learned_fabric,
+                                   to_fabric=to_fabric)
+                    and receiver not in best_asns
+                ):
+                    path = best_path.prepended_by(asn, 1 + prepends)
+                    tag = best_tag
+                if (
+                    path is not None
+                    and enforce_rov
+                    and rov_drops_route(roa_table, the_prefix, path.origin)
+                ):
+                    path = None  # RPKI-invalid: rejected on import (§2.3)
+
+                # Install the offer (or its withdrawal) at the receiver
+                # and reselect if its adj-RIB-in changed.
+                rib = offers.get(receiver)
+                if rib is None:
+                    rib = offers[receiver] = {}
+                if path is None:
+                    touched = asn in rib
+                    if touched:
+                        del rib[asn]
+                else:
+                    imported = Route(
+                        prefix=the_prefix,
+                        path=path,
+                        learned_from=asn,
+                        localpref=import_localpref,
+                        tag=tag,
+                    )
+                    touched = rib.get(asn) != imported
+                    if touched:
+                        rib[asn] = imported
+                changed = False
+                if touched:
+                    process = processes.get(receiver)
+                    if process is None:
+                        process = topology.node(
+                            receiver
+                        ).policy.decision_process()
+                        processes[receiver] = process
+                        cache_misses += 1
+                    else:
+                        cache_hits += 1
+                    old = best_of.get(receiver)
+                    # Local routes always win; an origin never changes
+                    # its best.
+                    if old is None or old.learned_from is not None:
+                        selections += 1
+                        candidates = [rib[key] for key in sorted(rib)]
+                        if recorder is None:
+                            new = process.best(candidates)
+                        else:
+                            new, steps = process.best_verbose(candidates)
+                            recorder.record(selection_event(
+                                source="fastpath",
+                                asn=receiver,
+                                prefix=the_prefix,
+                                candidates=candidates,
+                                steps=steps,
+                                winner_index=(
+                                    next(i for i, r in enumerate(candidates)
+                                         if r is new)
+                                    if new is not None else None
+                                ),
+                                winning_step=(
+                                    steps[-1]["step"] if steps else None
+                                ),
+                            ))
+                        if new is None:
+                            if old is not None:
+                                del best_of[receiver]
+                                changed = True
+                        elif old is None or old != new:
+                            best_of[receiver] = new
+                            changed = True
+                if changed and receiver not in pending_set:
+                    pending_set.add(receiver)
+                    pending.append(receiver)
                 if acc is not None:
                     acc.note(
-                        neighbor if changed else None,
+                        receiver if changed else None,
                         len(pending) - cursor,
                     )
             if cursor > len(topology) * _MAX_ROUNDS_FACTOR:
@@ -169,160 +356,18 @@ def propagate_fastpath(
     registry = get_registry()
     registry.counter("fastpath.prefixes_computed").inc()
     registry.counter("fastpath.iterations").inc(iterations)
-    registry.counter("fastpath.decision_cache_hits").inc(cache_stats[0])
-    registry.counter("fastpath.decision_cache_misses").inc(cache_stats[1])
+    registry.counter("fastpath.decision_cache_hits").inc(cache_hits)
+    registry.counter("fastpath.decision_cache_misses").inc(cache_misses)
     registry.counter("fastpath.queue_compactions").inc(compactions)
-    registry.counter("fastpath.selections").inc(selections[0])
-    registry.gauge("fastpath.ases_with_route").set(len(result.best))
+    registry.counter("fastpath.selections").inc(selections)
+    registry.gauge("fastpath.ases_with_route").set(len(best_of))
     if _log.is_enabled_for("debug"):
         _log.debug(
             "fastpath converged",
             prefix=str(the_prefix),
             iterations=iterations,
-            ases_with_route=len(result.best),
-            cache_hits=cache_stats[0],
-            cache_misses=cache_stats[1],
+            ases_with_route=len(best_of),
+            cache_hits=cache_hits,
+            cache_misses=cache_misses,
         )
     return result
-
-
-def _exported_route(
-    topology: Topology,
-    sender: int,
-    receiver: int,
-    best: Optional[Route],
-    announcements: Optional[List[Announcement]],
-) -> Optional[Route]:
-    """The route *sender* offers *receiver*, or None (no export)."""
-    if best is None:
-        return None
-    policy = topology.node(sender).policy
-    to_rel = topology.rel(sender, receiver)
-    if best.learned_from is None:
-        # Locally originated: pick the announcement exportable to this
-        # neighbor (tag-scoped filters may dedicate announcements to
-        # interfaces, as on the Figure 6 host).
-        candidates = announcements or [
-            Announcement(prefix=best.prefix, origin_asn=sender,
-                         tag=best.tag)
-        ]
-        chosen = None
-        for announcement in candidates:
-            if not policy.blocks_export(receiver, announcement.tag):
-                chosen = announcement
-                break
-        if chosen is None:
-            return None
-        extra = policy.prepends_toward(receiver)
-        extra += chosen.prepends_toward(receiver)
-        path = ASPath.origin_path(sender, extra)
-        return Route(
-            prefix=best.prefix,
-            path=path,
-            learned_from=sender,
-            localpref=0,  # receiver assigns on import
-            tag=chosen.tag,
-        )
-    if policy.blocks_export(receiver, best.tag):
-        return None
-    learned_rel = topology.rel(sender, best.learned_from)
-    if not may_export(
-        learned_rel,
-        to_rel,
-        learned_fabric=topology.is_fabric(sender, best.learned_from),
-        to_fabric=topology.is_fabric(sender, receiver),
-    ):
-        return None
-    if best.path.contains(receiver):
-        return None
-    prepends = 1 + policy.prepends_toward(receiver)
-    return Route(
-        prefix=best.prefix,
-        path=best.path.prepended_by(sender, prepends),
-        learned_from=sender,
-        localpref=0,
-        tag=best.tag,
-    )
-
-
-def _deliver(
-    topology: Topology,
-    result: FastpathResult,
-    processes: Dict[int, object],
-    sender: int,
-    receiver: int,
-    offered: Optional[Route],
-    roa_table,
-    cache_stats: List[int],
-    selections: List[int],
-) -> bool:
-    """Install *offered* (or its absence) at *receiver*; return True if
-    the receiver's best route changed."""
-    rib = result.offers.setdefault(receiver, {})
-    node = topology.node(receiver)
-    if (
-        offered is not None
-        and node.policy.enforce_rov
-        and rov_drops_route(roa_table, offered.prefix,
-                            offered.path.origin)
-    ):
-        offered = None  # RPKI-invalid: rejected on import (§2.3)
-    if offered is None or offered.path.contains(receiver):
-        if sender not in rib:
-            return False
-        del rib[sender]
-    else:
-        localpref = node.policy.localpref_for(
-            sender, topology.rel(receiver, sender)
-        )
-        imported = Route(
-            prefix=offered.prefix,
-            path=offered.path,
-            learned_from=sender,
-            localpref=localpref,
-            tag=offered.tag,
-        )
-        previous = rib.get(sender)
-        if previous == imported:
-            return False
-        rib[sender] = imported
-
-    process = processes.get(receiver)
-    if process is None:
-        process = node.policy.decision_process()
-        processes[receiver] = process
-        cache_stats[1] += 1
-    else:
-        cache_stats[0] += 1
-    old = result.best.get(receiver)
-    if old is not None and old.learned_from is None:
-        # Local routes always win; an origin never changes its best.
-        return False
-    selections[0] += 1
-    recorder = active_recorder()
-    if recorder is not None and recorder.wants(result.prefix):
-        candidates: List[Route] = [rib[key] for key in sorted(rib)]
-        new, steps = process.best_verbose(candidates)
-        recorder.record(selection_event(
-            source="fastpath",
-            asn=receiver,
-            prefix=result.prefix,
-            candidates=candidates,
-            steps=steps,
-            winner_index=(
-                next(i for i, r in enumerate(candidates) if r is new)
-                if new is not None else None
-            ),
-            winning_step=steps[-1]["step"] if steps else None,
-        ))
-    else:
-        new = process.best([rib[key] for key in sorted(rib)])
-    if new is None:
-        if old is None:
-            return False
-        del result.best[receiver]
-        return True
-    if old is not None and old == new:
-        return False
-    result.best[receiver] = new
-    return True

@@ -12,7 +12,11 @@ origins with the same attachment signature (same upstreams, same
 export prepends, same no-export sets) propagate identically up to the
 origin ASN in the path — so the builder memoizes fastpath runs by
 signature and substitutes origin ASNs, keeping full-scale analyses
-cheap.
+cheap.  The remaining runs, one per distinct signature, share one
+:class:`~repro.bgp.fastpath.FastpathView` built per
+``build_collector_rib`` call: policy is fixed for the length of the
+call, and the view is dropped when it returns, so a later policy edit
+always meets a fresh view.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..bgp.attributes import Announcement
-from ..bgp.fastpath import propagate_fastpath
+from ..bgp.fastpath import FastpathView, propagate_fastpath
 from ..netutil import Prefix
 from ..topology.graph import ASClass, Topology
 from ..topology.re_ecosystem import Ecosystem
@@ -103,7 +107,9 @@ def build_collector_rib(
     for prefix, origin in wanted:
         by_origin.setdefault(origin, []).append(prefix)
 
-    # Memoize observer paths by origin attachment signature.
+    # Memoize observer paths by origin attachment signature; every
+    # signature's run reads edge policy from one view.
+    view = FastpathView(topology)
     memo: Dict[Tuple, Dict[int, Optional[Tuple[int, ...]]]] = {}
     for origin in sorted(by_origin):
         signature = _origin_signature(topology, origin)
@@ -113,6 +119,7 @@ def build_collector_rib(
             result = propagate_fastpath(
                 topology,
                 [Announcement(prefix=representative, origin_asn=origin)],
+                view=view,
             )
             rib.fastpath_runs += 1
             cached = {}

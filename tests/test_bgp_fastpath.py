@@ -1,6 +1,8 @@
 """Tests for the bulk fastpath engine, including the engine-vs-fastpath
-oracle: with age tie-breaking disabled, both engines must converge to
-identical routes."""
+oracle (with age tie-breaking disabled, both engines must converge to
+identical routes) and the differential check of the view-based
+relaxation against the frozen reference in
+``tests/fastpath_reference.py``."""
 
 import pytest
 
@@ -11,10 +13,18 @@ from repro import (
     propagate_fastpath,
 )
 from repro.bgp.engine import PropagationEngine
+from repro.bgp.fastpath import FastpathView
+from repro.bgp.rpki import ROA, ROATable
+from repro.collectors.rib import _origin_signature
 from repro.errors import EngineError
 from repro.netutil import Prefix
+from repro.obs import use_frontier, use_provenance
 from repro.rng import SeedTree
 from repro.topology.graph import Topology
+
+from tests.fastpath_reference import (
+    propagate_fastpath as reference_fastpath,
+)
 
 PFX = Prefix.parse("192.0.2.0/24")
 
@@ -158,3 +168,165 @@ class TestEngineOracle:
                 differing_type += 1
         # Ties broken differently are possible but must be rare.
         assert differing_type <= total * 0.05
+
+
+def _signature_runs(ecosystem):
+    """``(prefix, origin)`` of every collector-signature representative,
+    in ``build_collector_rib``'s order."""
+    by_origin = {}
+    for plan in ecosystem.studied_prefixes():
+        by_origin.setdefault(plan.origin_asn, []).append(plan.prefix)
+    seen = set()
+    runs = []
+    for origin in sorted(by_origin):
+        signature = _origin_signature(ecosystem.topology, origin)
+        if signature not in seen:
+            seen.add(signature)
+            runs.append((by_origin[origin][0], origin))
+    return runs
+
+
+def _measurement(ecosystem):
+    return [
+        Announcement(ecosystem.measurement_prefix,
+                     ecosystem.internet2_origin, tag="re"),
+        Announcement(ecosystem.measurement_prefix,
+                     ecosystem.commodity_origin, tag="commodity"),
+    ]
+
+
+def _assert_same(result, reference):
+    assert result.prefix == reference.prefix
+    assert result.best == reference.best
+    assert result.offers == reference.offers
+
+
+class TestViewDifferential:
+    """The view-based relaxation against the frozen pre-view reference
+    on the TEST_SCALE ecosystem."""
+
+    def test_reused_view_matches_reference_per_signature(self, ecosystem):
+        topology = ecosystem.topology
+        view = FastpathView(topology)
+        runs = _signature_runs(ecosystem)
+        assert len(runs) > 20
+        for prefix, origin in runs:
+            announcements = [Announcement(prefix=prefix, origin_asn=origin)]
+            _assert_same(
+                propagate_fastpath(topology, announcements, view=view),
+                reference_fastpath(topology, announcements),
+            )
+
+    def test_measurement_plain(self, ecosystem):
+        announcements = _measurement(ecosystem)
+        _assert_same(
+            propagate_fastpath(ecosystem.topology, announcements),
+            reference_fastpath(ecosystem.topology, announcements),
+        )
+
+    def test_measurement_with_down_links(self, ecosystem):
+        topology = ecosystem.topology
+        down = []
+        for origin in (ecosystem.internet2_origin,
+                       ecosystem.commodity_origin):
+            for neighbor in sorted(topology.neighbors(origin))[:2]:
+                down.append(frozenset((origin, neighbor)))
+        announcements = _measurement(ecosystem)
+        result = propagate_fastpath(topology, announcements,
+                                    down_links=down)
+        _assert_same(
+            result,
+            reference_fastpath(topology, announcements, down_links=down),
+        )
+        assert result.best != propagate_fastpath(
+            topology, announcements
+        ).best
+
+    def test_measurement_with_rov(self, ecosystem):
+        topology = ecosystem.topology
+        # Only the R&E origin is authorised, so ROV-enforcing ASes drop
+        # the commodity announcement on import.
+        roas = ROATable([ROA(ecosystem.measurement_prefix,
+                             ecosystem.internet2_origin)])
+        enforcing = sorted(topology.nodes)[::7]
+        saved = {asn: topology.node(asn).policy.enforce_rov
+                 for asn in enforcing}
+        try:
+            for asn in enforcing:
+                topology.node(asn).policy.enforce_rov = True
+            announcements = _measurement(ecosystem)
+            result = propagate_fastpath(topology, announcements,
+                                        roa_table=roas)
+            reference = reference_fastpath(topology, announcements,
+                                           roa_table=roas)
+        finally:
+            for asn, value in saved.items():
+                topology.node(asn).policy.enforce_rov = value
+        _assert_same(result, reference)
+        assert result.best != propagate_fastpath(
+            topology, announcements
+        ).best
+        assert all(
+            route.tag == "re"
+            for asn, route in result.best.items()
+            if asn in saved and route.learned_from is not None
+        )
+
+    def test_measurement_with_tag_filters(self, ecosystem):
+        topology = ecosystem.topology
+        announcements = _measurement(ecosystem)
+        plain = propagate_fastpath(topology, announcements)
+        # Every third AS holding a re-exported R&E route loses it: its
+        # neighbor stops exporting "re"-tagged routes to it.
+        edges = [
+            (route.learned_from, asn)
+            for asn, route in sorted(plain.best.items())
+            if route.tag == "re" and route.path.length > 1
+        ][::3]
+        saved = {sender: dict(topology.node(sender).policy.no_export_tags)
+                 for sender, _ in edges}
+        try:
+            for sender, receiver in edges:
+                topology.node(sender).policy.no_export_tags[receiver] = {"re"}
+            result = propagate_fastpath(topology, announcements)
+            reference = reference_fastpath(topology, announcements)
+        finally:
+            for asn, tags in saved.items():
+                current = topology.node(asn).policy.no_export_tags
+                current.clear()
+                current.update(tags)
+        _assert_same(result, reference)
+        assert result.best != plain.best
+
+    def test_provenance_and_frontier_streams_match(self, ecosystem):
+        announcements = _measurement(ecosystem)
+        streams = []
+        for propagate in (propagate_fastpath, reference_fastpath):
+            with use_provenance() as recorder, use_frontier() as trace:
+                propagate(ecosystem.topology, announcements)
+            streams.append((recorder.events(), trace.events()))
+        (events, frontier), (ref_events, ref_frontier) = streams
+        assert events and frontier
+        assert events == ref_events
+        assert frontier == ref_frontier
+
+    def test_view_reuse_leaks_no_state(self, ecosystem):
+        topology = ecosystem.topology
+        (prefix_a, origin_a), (prefix_b, origin_b) = (
+            _signature_runs(ecosystem)[:2]
+        )
+        first = [Announcement(prefix=prefix_a, origin_asn=origin_a)]
+        second = [Announcement(prefix=prefix_b, origin_asn=origin_b)]
+        view = FastpathView(topology)
+        a1 = propagate_fastpath(topology, first, view=view)
+        propagate_fastpath(topology, second, view=view)
+        a2 = propagate_fastpath(topology, first, view=view)
+        _assert_same(a2, a1)
+        _assert_same(a1, propagate_fastpath(topology, first))
+
+    def test_view_of_another_topology_rejected(self, ecosystem):
+        with pytest.raises(EngineError):
+            propagate_fastpath(
+                diamond(), [Announcement(PFX, 1)],
+                view=FastpathView(ecosystem.topology),
+            )

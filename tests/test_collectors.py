@@ -132,12 +132,16 @@ class TestCollectorRIB:
             assert entry.origin_asn == ecosystem.prefix_plans[prefix].origin_asn
 
     def test_memoized_matches_direct(self, ecosystem):
-        """Spot check: memoized entries equal a direct fastpath run."""
+        """Every origin's entry, memo hit or not, equals a direct
+        fastpath run for one of its prefixes."""
         from repro import Announcement, propagate_fastpath
 
         rib = build_collector_rib(ecosystem, [ecosystem.ripe_asn])
-        plans = ecosystem.studied_prefixes()
-        for plan in plans[:10]:
+        first_plan = {}
+        for plan in ecosystem.studied_prefixes():
+            first_plan.setdefault(plan.origin_asn, plan)
+        assert len(first_plan) == rib.fastpath_runs + rib.memo_hits
+        for plan in first_plan.values():
             direct = propagate_fastpath(
                 ecosystem.topology,
                 [Announcement(plan.prefix, plan.origin_asn)],
