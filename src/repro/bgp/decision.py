@@ -15,13 +15,17 @@ analysis (§1, §A):
 
 Each step is a pure filter: given the surviving candidate routes it
 returns the subset that wins that step.  ``best()`` runs the steps in
-order until one candidate survives.
+order until one candidate survives.  :meth:`DecisionProcess.offer_key`
+compiles the same steps into a sort key over the fastpath's compact
+offers, so the fastpath can rank one new offer against its current best
+instead of re-running the filters over every candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import PolicyError
@@ -85,6 +89,19 @@ _STEP_FUNCTIONS = {
     Step.LOWEST_MED: _lowest_med,
     Step.OLDEST_ROUTE: _oldest_route,
     Step.LOWEST_NEIGHBOR_ASN: _lowest_neighbor_asn,
+}
+
+#: Per step, the rank it gives a fastpath offer ``(learned_from,
+#: path_asns, localpref, tag)`` (:mod:`repro.bgp.fastpath`): the key the
+#: filter above keeps the minimum of.  Offers carry no MED and no install
+#: time (every fastpath route has ``med=0`` and ``installed_at=0.0``),
+#: so those steps rank all offers equal and add nothing to the key.
+_STEP_OFFER_RANKS = {
+    Step.HIGHEST_LOCALPREF: lambda offer: -offer[2],
+    Step.SHORTEST_AS_PATH: lambda offer: len(offer[1]),
+    Step.LOWEST_MED: None,
+    Step.OLDEST_ROUTE: None,
+    Step.LOWEST_NEIGHBOR_ASN: lambda offer: offer[0],
 }
 
 #: The raw attribute each step compares, for provenance reporting (the
@@ -206,6 +223,19 @@ class DecisionProcess:
             )
         return surviving[0], steps
 
+    def offer_key(self) -> Callable[[tuple], tuple]:
+        """This process as a sort key over fastpath offers.
+
+        Among offers from distinct neighbors, the one with the smallest
+        key is the one :meth:`best` picks from their routes: the key
+        chains each step's rank from :data:`_STEP_OFFER_RANKS` up to the
+        LOWEST_NEIGHBOR_ASN step, which leaves one offer standing.
+        Without that step ties can survive every step, where
+        :meth:`best` raises, so the key is refused with a PolicyError
+        rather than left to pick a winner silently.
+        """
+        return _compile_offer_key(self.steps)
+
     def ranks_equal(self, a: Route, b: Route) -> bool:
         """True if *a* and *b* tie on every step before the final
         neighbor-ASN tie-break (useful in tests)."""
@@ -216,6 +246,36 @@ class DecisionProcess:
             if len(survivors) == 1:
                 return False
         return True
+
+
+# Every AS a fastpath view selects at compiles a key, but the standard
+# processes come in only four step orders.
+@lru_cache(maxsize=64)
+def _compile_offer_key(steps: Tuple[Step, ...]) -> Callable[[tuple], tuple]:
+    if Step.LOWEST_NEIGHBOR_ASN not in steps:
+        raise PolicyError(
+            "decision process %s has no lowest-neighbor-asn step, so it "
+            "cannot rank offers" % ([step.value for step in steps],)
+        )
+    ranks = []
+    for step in steps:
+        rank = _STEP_OFFER_RANKS[step]
+        # A repeated step filters nothing its first run left.
+        if rank is not None and rank not in ranks:
+            ranks.append(rank)
+        if step is Step.LOWEST_NEIGHBOR_ASN:
+            break
+    # At most three distinct ranks; unrolled by count, because the key
+    # runs once per offer the fastpath ranks and a generator over
+    # *ranks* would cost more than the ranks themselves.
+    if len(ranks) == 1:
+        (first,) = ranks
+        return lambda offer: (first(offer),)
+    if len(ranks) == 2:
+        first, second = ranks
+        return lambda offer: (first(offer), second(offer))
+    first, second, third = ranks
+    return lambda offer: (first(offer), second(offer), third(offer))
 
 
 def explain_choice(process: DecisionProcess, routes: Sequence[Route]) -> List[str]:

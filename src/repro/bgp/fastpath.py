@@ -13,10 +13,28 @@ route changed re-export to eligible neighbors until quiescence.  Under
 valley-free (Gao-Rexford + R&E fabric) export and monotone preferences
 this converges to the unique stable solution.
 
+Routes travel through the relaxation as compact offers, plain tuples
+``(learned_from, path_asns, localpref, tag)``: a changed offer is a
+tuple comparison, and a :class:`~repro.bgp.attributes.Route` is built
+only when a caller reads :attr:`FastpathResult.best` or
+:attr:`FastpathResult.offers` (``build_collector_rib`` reads paths with
+:meth:`FastpathResult.path_at` and builds none).  Each receiver keeps
+its best offer as the incumbent and ranks a changed offer from another
+neighbor against it by the key :meth:`DecisionProcess.offer_key
+<repro.bgp.decision.DecisionProcess.offer_key>` compiles from its
+decision steps; a withdrawal from another neighbor leaves the incumbent
+standing.  Only when the incumbent's own neighbor changes or withdraws
+its offer, or there is no incumbent, does it take the minimum over its
+whole adj-RIB-in (a lone candidate wins without being ranked).  Under
+an active provenance recorder the candidates are built as routes and
+:meth:`DecisionProcess.best_verbose` picks and narrates, so the
+recorded events are those of a full selection.
+
 The relaxation reads each edge's policy from a :class:`FastpathView`:
-per sender, its neighbor rows (relationship, fabric flag, export
-prepends and filters, the receiver's import localpref and ROV flag),
-plus a per-AS decision-process cache.  A view is filled on first use
+per sender, its neighbor rows (export prepends and tag filters, the
+receiver's import localpref and ROV flag); for each session a sender
+learns a route over, a tuple of export flags, one per row; and a
+per-AS decision process with its offer key.  A view is filled on first use
 and snapshots policy as it stands then, so it lives no longer than one
 call that keeps policy fixed: ``propagate_fastpath`` builds a fresh one
 when given none, and ``build_collector_rib`` shares one across its
@@ -26,8 +44,10 @@ module global.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from itertools import repeat
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+)
 
 from ..errors import EngineError
 from ..netutil import Prefix
@@ -37,7 +57,7 @@ from ..obs.provenance import active_recorder, selection_event
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route
 from .decision import DecisionProcess
-from .policy import Rel, may_export
+from .policy import may_export
 from .router import LOCAL_ROUTE_LOCALPREF
 from .rpki import rov_drops_route
 
@@ -45,8 +65,17 @@ _MAX_ROUNDS_FACTOR = 40
 
 _log = get_logger("repro.fastpath")
 
+#: A compact offer: ``(learned_from, path_asns, localpref, tag)``, with
+#: ``learned_from`` None for an origin's local route.
+Offer = Tuple[Optional[int], Tuple[int, ...], int, str]
 
-@dataclass
+
+def _route(prefix: Prefix, offer: Offer) -> Route:
+    learned_from, asns, localpref, tag = offer
+    return Route(prefix=prefix, path=ASPath(asns),
+                 learned_from=learned_from, localpref=localpref, tag=tag)
+
+
 class FastpathResult:
     """Converged state for one prefix.
 
@@ -54,20 +83,72 @@ class FastpathResult:
     local route).  ``offers`` maps ASN to the post-import routes each
     neighbor last offered it (an adj-RIB-in snapshot), which analyses
     use to see alternatives (e.g. the R&E route an AS did *not* pick).
+
+    :func:`propagate_fastpath` hands both maps over as compact offers
+    (:meth:`from_offers`); each builds its routes the first time it is
+    read.  :meth:`path_at` reads a path without building any.
     """
 
-    prefix: Prefix
-    best: Dict[int, Route] = field(default_factory=dict)
-    offers: Dict[int, Dict[int, Route]] = field(default_factory=dict)
+    __slots__ = ("prefix", "_best", "_offers", "_compact")
+
+    def __init__(self, prefix: Prefix) -> None:
+        self.prefix = prefix
+        self._best: Optional[Dict[int, Route]] = {}
+        self._offers: Optional[Dict[int, Dict[int, Route]]] = {}
+        self._compact: Optional[tuple] = None
+
+    @classmethod
+    def from_offers(
+        cls,
+        prefix: Prefix,
+        best: Dict[int, Offer],
+        offers: Dict[int, Dict[int, Offer]],
+    ) -> "FastpathResult":
+        result = cls(prefix)
+        result._best = result._offers = None
+        result._compact = (best, offers)
+        return result
+
+    @property
+    def best(self) -> Dict[int, Route]:
+        if self._best is None:
+            prefix = self.prefix
+            self._best = {
+                asn: _route(prefix, offer)
+                for asn, offer in self._compact[0].items()
+            }
+        return self._best
+
+    @property
+    def offers(self) -> Dict[int, Dict[int, Route]]:
+        if self._offers is None:
+            prefix = self.prefix
+            self._offers = {
+                asn: {
+                    sender: _route(prefix, offer)
+                    for sender, offer in rib.items()
+                }
+                for asn, rib in self._compact[1].items()
+            }
+        return self._offers
 
     def route_at(self, asn: int) -> Optional[Route]:
         return self.best.get(asn)
+
+    def path_at(self, asn: int) -> Optional[Tuple[int, ...]]:
+        """The AS path of *asn*'s best route, or None."""
+        if self._compact is None:
+            route = self.best.get(asn)
+            return None if route is None else route.path.asns
+        offer = self._compact[0].get(asn)
+        return None if offer is None else offer[1]
 
     def candidates_at(self, asn: int) -> List[Route]:
         rib = self.offers.get(asn, {})
         return [rib[key] for key in sorted(rib)]
 
-
+    def __repr__(self) -> str:
+        return "FastpathResult(%s)" % (self.prefix,)
 
 
 _NO_TAGS: FrozenSet[str] = frozenset()
@@ -76,46 +157,47 @@ _NO_TAGS: FrozenSet[str] = frozenset()
 class FastpathView:
     """The per-edge policy of one topology, compiled for the relaxation.
 
-    Rows, links and decision processes are filled on first use and
-    never refreshed, so a view must not outlive a policy edit (see the
-    module docstring for the lifetime rule).
+    Rows, export flags and deciders are filled on first use and never
+    refreshed, so a view must not outlive a policy edit (see the module
+    docstring for the lifetime rule).
     """
 
-    __slots__ = ("topology", "processes", "_rows", "_links")
+    __slots__ = ("topology", "deciders", "_rows", "_links", "_flags")
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        #: ASN → its :class:`DecisionProcess`, filled by the relaxation.
-        self.processes: Dict[int, DecisionProcess] = {}
+        #: ASN → its :class:`DecisionProcess` and the process's
+        #: :meth:`~DecisionProcess.offer_key`, filled by the relaxation.
+        self.deciders: Dict[
+            int, Tuple[DecisionProcess, Callable[[Offer], tuple]]
+        ] = {}
         self._rows: Dict[int, Tuple[tuple, ...]] = {}
-        self._links: Dict[Tuple[int, int], Tuple[Rel, bool]] = {}
+        self._links: Dict[Tuple[int, Optional[int]], Tuple[bool, ...]] = {}
+        self._flags: Dict[tuple, Tuple[bool, ...]] = {}
 
     def rows(self, sender: int) -> Tuple[tuple, ...]:
         """*sender*'s export rows, one per neighbor in ASN order.
 
-        A row is ``(receiver, to_rel, to_fabric, prepends, no_export,
-        no_export_tags, import_localpref, enforce_rov)``: the receiver's
-        relationship from the sender and whether the link rides the R&E
-        fabric; the sender's extra self-prepends toward it, whether it
-        is in the sender's ``no_export_to`` and the tags the sender
-        never exports to it; and the receiver's localpref for routes
-        from the sender and its ROV flag.  Plain tuples keep the
-        one-shot build cheap.
+        A row is ``(receiver, head, prepends, no_export_tags,
+        import_localpref, enforce_rov)``: the ASNs the sender puts in
+        front of a path it re-exports to the receiver (itself, once
+        plus its extra prepends toward it), those extra prepends, the
+        tags the sender never exports to it; and the receiver's
+        localpref for routes from the sender and its ROV flag.  Plain
+        tuples keep the one-shot build cheap.
         """
         rows = self._rows.get(sender)
         if rows is None:
             topology = self.topology
             policy = topology.node(sender).policy
-            neighbors = topology.neighbors(sender)
             built = []
-            for receiver in sorted(neighbors):
+            for receiver in sorted(topology.neighbors(sender)):
                 receiver_policy = topology.node(receiver).policy
+                prepends = policy.prepends_toward(receiver)
                 built.append((
                     receiver,
-                    neighbors[receiver],
-                    topology.is_fabric(sender, receiver),
-                    policy.prepends_toward(receiver),
-                    receiver in policy.no_export_to,
+                    (sender,) * (1 + prepends),
+                    prepends,
                     frozenset(policy.no_export_tags.get(receiver, _NO_TAGS)),
                     receiver_policy.localpref_for(
                         sender, topology.rel(receiver, sender)
@@ -125,18 +207,46 @@ class FastpathView:
             rows = self._rows[sender] = tuple(built)
         return rows
 
-    def link(self, sender: int, neighbor: int) -> Tuple[Rel, bool]:
-        """``(rel, fabric)`` of *neighbor* from *sender*, the inputs
-        :func:`~repro.bgp.policy.may_export` needs for the session a
-        route was learned over."""
-        key = (sender, neighbor)
-        link = self._links.get(key)
-        if link is None:
-            link = self._links[key] = (
-                self.topology.rel(sender, neighbor),
-                self.topology.is_fabric(sender, neighbor),
-            )
-        return link
+    def link(
+        self, sender: int, learned_from: Optional[int]
+    ) -> Tuple[bool, ...]:
+        """Export flags of a route *sender* learned from *learned_from*
+        (None for its own route), aligned with :meth:`rows`: True where
+        :func:`~repro.bgp.policy.may_export` allows the session and the
+        receiver is not in the sender's ``no_export_to``.
+
+        The flags depend on the learned session only through its
+        relationship and fabric flag, so a sender's sessions share one
+        tuple per such pair.
+        """
+        key = (sender, learned_from)
+        flags = self._links.get(key)
+        if flags is None:
+            topology = self.topology
+            if learned_from is None:
+                session = (sender, None, False)
+            else:
+                session = (
+                    sender,
+                    topology.rel(sender, learned_from),
+                    topology.is_fabric(sender, learned_from),
+                )
+            flags = self._flags.get(session)
+            if flags is None:
+                _, learned_rel, learned_fabric = session
+                no_export_to = topology.node(sender).policy.no_export_to
+                flags = self._flags[session] = tuple(
+                    row[0] not in no_export_to
+                    and may_export(
+                        learned_rel,
+                        topology.rel(sender, row[0]),
+                        learned_fabric=learned_fabric,
+                        to_fabric=topology.is_fabric(sender, row[0]),
+                    )
+                    for row in self.rows(sender)
+                )
+            self._links[key] = flags
+        return flags
 
 
 def propagate_fastpath(
@@ -172,10 +282,13 @@ def propagate_fastpath(
         raise EngineError("fastpath view built for another topology")
 
     failed: Set[frozenset] = set(down_links or ())
-    result = FastpathResult(prefix=the_prefix)
-    best_of = result.best
-    offers = result.offers
-    processes = view.processes
+    best_of: Dict[int, Offer] = {}
+    offers: Dict[int, Dict[int, Offer]] = {}
+    deciders = view.deciders
+    # The loop reads the view's filled caches directly; rows() and
+    # link() fill them on a miss.
+    view_rows = view._rows
+    links = view._links
     cache_hits = cache_misses = selections = 0
     compactions = 0
     pending: List[int] = []
@@ -190,18 +303,15 @@ def propagate_fastpath(
     for announcement in announcements:
         origin = announcement.origin_asn
         origin_announcements.setdefault(origin, []).append(announcement)
-        best_of[origin] = Route(
-            prefix=the_prefix,
-            path=ASPath((origin,)),
-            learned_from=None,
-            localpref=LOCAL_ROUTE_LOCALPREF,
-            tag=announcement.tag,
+        best_of[origin] = (
+            None, (origin,), LOCAL_ROUTE_LOCALPREF, announcement.tag
         )
         if origin not in pending_set:
             pending_set.add(origin)
             pending.append(origin)
 
     max_rounds = max(1, len(topology)) * _MAX_ROUNDS_FACTOR
+    compact_after = len(topology) * _MAX_ROUNDS_FACTOR
     iterations = 0
     cursor = 0
     # One call returning None per propagation is the entire
@@ -228,115 +338,112 @@ def propagate_fastpath(
             # What this AS offers: nothing, its own announcements
             # (chosen per neighbor by tag), or its best route re-exported.
             best = best_of.get(asn)
-            local = best is not None and best.learned_from is None
-            if local:
-                # Only seeded origins hold a local route.  Tag-scoped
-                # filters may dedicate announcements to interfaces, as
-                # on the Figure 6 host.
-                announced = origin_announcements[asn]
-            elif best is not None:
-                learned_rel, learned_fabric = view.link(
-                    asn, best.learned_from
-                )
-                best_path = best.path
-                best_asns = best_path.asns
-                best_tag = best.tag
-            for (receiver, to_rel, to_fabric, prepends, no_export,
-                 no_export_tags, import_localpref,
-                 enforce_rov) in view.rows(asn):
+            if best is None:
+                exports = repeat(False)
+                local = False
+            else:
+                learned_from, best_asns, _, best_tag = best
+                exports = links.get((asn, learned_from))
+                if exports is None:
+                    exports = view.link(asn, learned_from)
+                local = learned_from is None
+                if local:
+                    # Only seeded origins hold a local route.  Tag-scoped
+                    # filters may dedicate announcements to interfaces,
+                    # as on the Figure 6 host.
+                    announced = origin_announcements[asn]
+            rows = view_rows.get(asn)
+            if rows is None:
+                rows = view.rows(asn)
+            for (receiver, head, prepends, no_export_tags, import_localpref,
+                 enforce_rov), export in zip(rows, exports):
                 if failed and frozenset((asn, receiver)) in failed:
                     continue
-                path = None
-                if best is None or no_export:
+                offer = None
+                if not export:
                     pass
                 elif local:
                     for chosen in announced:
                         if chosen.tag not in no_export_tags:
-                            path = ASPath.origin_path(
+                            offer = (
                                 asn,
-                                prepends + chosen.prepends_toward(receiver),
+                                ASPath.origin_path(
+                                    asn,
+                                    prepends + chosen.prepends_toward(receiver),
+                                ).asns,
+                                import_localpref,
+                                chosen.tag,
                             )
-                            tag = chosen.tag
                             break
                 elif (
                     best_tag not in no_export_tags
-                    and may_export(learned_rel, to_rel,
-                                   learned_fabric=learned_fabric,
-                                   to_fabric=to_fabric)
                     and receiver not in best_asns
                 ):
-                    path = best_path.prepended_by(asn, 1 + prepends)
-                    tag = best_tag
+                    offer = (asn, head + best_asns, import_localpref, best_tag)
                 if (
-                    path is not None
+                    offer is not None
                     and enforce_rov
-                    and rov_drops_route(roa_table, the_prefix, path.origin)
+                    and rov_drops_route(roa_table, the_prefix, offer[1][-1])
                 ):
-                    path = None  # RPKI-invalid: rejected on import (§2.3)
+                    offer = None  # RPKI-invalid: rejected on import (§2.3)
 
                 # Install the offer (or its withdrawal) at the receiver
                 # and reselect if its adj-RIB-in changed.
                 rib = offers.get(receiver)
                 if rib is None:
                     rib = offers[receiver] = {}
-                if path is None:
+                if offer is None:
                     touched = asn in rib
                     if touched:
                         del rib[asn]
                 else:
-                    imported = Route(
-                        prefix=the_prefix,
-                        path=path,
-                        learned_from=asn,
-                        localpref=import_localpref,
-                        tag=tag,
-                    )
-                    touched = rib.get(asn) != imported
+                    touched = rib.get(asn) != offer
                     if touched:
-                        rib[asn] = imported
+                        rib[asn] = offer
                 changed = False
                 if touched:
-                    process = processes.get(receiver)
-                    if process is None:
+                    decider = deciders.get(receiver)
+                    if decider is None:
                         process = topology.node(
                             receiver
                         ).policy.decision_process()
-                        processes[receiver] = process
+                        decider = deciders[receiver] = (
+                            process, process.offer_key()
+                        )
                         cache_misses += 1
                     else:
                         cache_hits += 1
                     old = best_of.get(receiver)
                     # Local routes always win; an origin never changes
                     # its best.
-                    if old is None or old.learned_from is not None:
+                    if old is None or old[0] is not None:
                         selections += 1
-                        candidates = [rib[key] for key in sorted(rib)]
-                        if recorder is None:
-                            new = process.best(candidates)
+                        if recorder is not None:
+                            new = _select_recorded(
+                                recorder, decider[0], the_prefix,
+                                receiver, rib,
+                            )
+                        elif old is not None and old[0] != asn:
+                            # The incumbent's offer stands: a
+                            # withdrawal leaves it best, and an offer
+                            # takes over only if it ranks first.
+                            key = decider[1]
+                            if offer is not None and key(offer) < key(old):
+                                new = offer
+                            else:
+                                new = old
+                        elif len(rib) > 1:
+                            new = min(rib.values(), key=decider[1])
+                        elif rib:
+                            (new,) = rib.values()
                         else:
-                            new, steps = process.best_verbose(candidates)
-                            recorder.record(selection_event(
-                                source="fastpath",
-                                asn=receiver,
-                                prefix=the_prefix,
-                                candidates=candidates,
-                                steps=steps,
-                                winner_index=(
-                                    next(i for i, r in enumerate(candidates)
-                                         if r is new)
-                                    if new is not None else None
-                                ),
-                                winning_step=(
-                                    steps[-1]["step"] if steps else None
-                                ),
-                            ))
-                        if new is None:
-                            if old is not None:
-                                del best_of[receiver]
-                                changed = True
-                        elif old is None or old != new:
-                            best_of[receiver] = new
+                            new = None
+                        if new != old:
                             changed = True
+                            if new is None:
+                                del best_of[receiver]
+                            else:
+                                best_of[receiver] = new
                 if changed and receiver not in pending_set:
                     pending_set.add(receiver)
                     pending.append(receiver)
@@ -345,7 +452,7 @@ def propagate_fastpath(
                         receiver if changed else None,
                         len(pending) - cursor,
                     )
-            if cursor > len(topology) * _MAX_ROUNDS_FACTOR:
+            if cursor > compact_after:
                 # Compact the queue so memory stays bounded on big runs.
                 pending = pending[cursor:]
                 cursor = 0
@@ -370,4 +477,31 @@ def propagate_fastpath(
             cache_hits=cache_hits,
             cache_misses=cache_misses,
         )
-    return result
+    return FastpathResult.from_offers(the_prefix, best_of, offers)
+
+
+def _select_recorded(
+    recorder,
+    process: DecisionProcess,
+    prefix: Prefix,
+    receiver: int,
+    rib: Dict[int, Offer],
+) -> Optional[Offer]:
+    """Select *receiver*'s best offer with the full, narrated decision
+    process over its adj-RIB-in built as routes, and record the
+    provenance event."""
+    candidates = [_route(prefix, rib[sender]) for sender in sorted(rib)]
+    chosen, steps = process.best_verbose(candidates)
+    recorder.record(selection_event(
+        source="fastpath",
+        asn=receiver,
+        prefix=prefix,
+        candidates=candidates,
+        steps=steps,
+        winner_index=(
+            next(i for i, r in enumerate(candidates) if r is chosen)
+            if chosen is not None else None
+        ),
+        winning_step=steps[-1]["step"] if steps else None,
+    ))
+    return None if chosen is None else rib[chosen.learned_from]

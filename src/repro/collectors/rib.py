@@ -8,15 +8,18 @@ Two consumers:
   toward R&E vs commodity neighbors.
 
 Routes for all prefixes of one origin propagate identically, and
-origins with the same attachment signature (same upstreams, same
-export prepends, same no-export sets) propagate identically up to the
-origin ASN in the path — so the builder memoizes fastpath runs by
-signature and substitutes origin ASNs, keeping full-scale analyses
-cheap.  The remaining runs, one per distinct signature, share one
-:class:`~repro.bgp.fastpath.FastpathView` built per
+origins with the same attachment signature (per neighbor: relationship,
+fabric flag, export prepends, the no-export set and tag filters, and
+the neighbor's import localpref for the origin) propagate identically
+up to the origin ASN in the path — so the builder memoizes fastpath
+runs by signature and substitutes origin ASNs, keeping full-scale
+analyses cheap.  The remaining runs, one per distinct signature, share
+one :class:`~repro.bgp.fastpath.FastpathView` built per
 ``build_collector_rib`` call: policy is fixed for the length of the
 call, and the view is dropped when it returns, so a later policy edit
-always meets a fresh view.
+always meets a fresh view.  Each run's observer paths are read with
+:meth:`~repro.bgp.fastpath.FastpathResult.path_at` from the
+relaxation's compact offers, so no ``Route`` is built for them.
 """
 
 from __future__ import annotations
@@ -68,14 +71,20 @@ class CollectorRIB:
 
 
 def _origin_signature(topology: Topology, origin: int) -> Tuple:
+    """Every input the fastpath reads on *origin*'s own edges."""
     policy = topology.node(origin).policy
     return tuple(
         sorted(
             (
                 neighbor,
                 rel.value,
+                topology.is_fabric(origin, neighbor),
                 policy.prepends_toward(neighbor),
                 neighbor in policy.no_export_to,
+                tuple(sorted(policy.no_export_tags.get(neighbor, ()))),
+                topology.node(neighbor).policy.localpref_for(
+                    origin, topology.rel(neighbor, origin)
+                ),
             )
             for neighbor, rel in topology.neighbors(origin).items()
         )
@@ -124,15 +133,14 @@ def build_collector_rib(
             rib.fastpath_runs += 1
             cached = {}
             for observer in observer_list:
-                route = result.route_at(observer)
-                if route is None:
+                path = result.path_at(observer)
+                if path is None:
                     cached[observer] = None
                 else:
                     # Substitute a placeholder for the origin ASN so the
                     # cache applies to signature-equal origins.
                     cached[observer] = tuple(
-                        -1 if asn == origin else asn
-                        for asn in route.path.asns
+                        -1 if asn == origin else asn for asn in path
                     )
             memo[signature] = cached
         else:

@@ -176,3 +176,79 @@ def test_removing_a_loser_preserves_best(routes):
     losers = [r for r in routes if r is not best]
     reduced = [r for r in routes if r is not losers[0]]
     assert process.best(reduced) is best
+
+
+# Fastpath offers ``(learned_from, path_asns, localpref, tag)`` from
+# distinct neighbors; the routes they stand for carry med=0 and
+# installed_at=0.0, as every fastpath route does.
+offer_strategy = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=1, max_value=20),
+                 min_size=1, max_size=8).map(tuple),
+        st.sampled_from([50, 100, 150, 200]),
+        st.sampled_from(["", "re", "commodity"]),
+    ),
+    min_size=1,
+    max_size=12,
+).flatmap(
+    lambda bodies: st.lists(
+        st.integers(min_value=1, max_value=60),
+        min_size=len(bodies), max_size=len(bodies), unique=True,
+    ).map(lambda senders: [
+        (sender,) + body for sender, body in zip(senders, bodies)
+    ])
+)
+
+standard_processes = st.sampled_from([
+    DecisionProcess.standard(path_length_sensitive=sensitive,
+                             age_tiebreak=age)
+    for sensitive in (True, False)
+    for age in (True, False)
+])
+
+# Any steps in any order, repeats allowed, with the neighbor step
+# inserted somewhere.
+shuffled_processes = st.tuples(
+    st.lists(st.sampled_from(list(Step)), max_size=6),
+    st.integers(min_value=0, max_value=6),
+).map(lambda drawn: DecisionProcess(tuple(
+    drawn[0][:drawn[1]] + [Step.LOWEST_NEIGHBOR_ASN] + drawn[0][drawn[1]:]
+)))
+
+
+def _offer_route(offer):
+    learned_from, asns, localpref, tag = offer
+    return Route(prefix=PFX, path=ASPath(asns), learned_from=learned_from,
+                 localpref=localpref, tag=tag)
+
+
+@given(offer_strategy, st.one_of(standard_processes, shuffled_processes))
+def test_offer_key_minimum_is_best(offers, process):
+    key = process.offer_key()
+    best = process.best([_offer_route(offer) for offer in offers])
+    assert min(offers, key=key)[0] == best.learned_from
+    # The incumbent-vs-challenger rule the fastpath relies on: folding
+    # the offers one at a time keeps the same winner.
+    incumbent = offers[0]
+    for challenger in offers[1:]:
+        if key(challenger) < key(incumbent):
+            incumbent = challenger
+    assert incumbent[0] == best.learned_from
+
+
+@given(st.lists(st.sampled_from(
+    [step for step in Step if step is not Step.LOWEST_NEIGHBOR_ASN]
+), max_size=6))
+def test_offer_key_refused_without_neighbor_step(steps):
+    process = DecisionProcess(tuple(steps))
+    with pytest.raises(PolicyError):
+        process.offer_key()
+
+
+def test_offer_key_refused_where_best_raises():
+    process = DecisionProcess((Step.HIGHEST_LOCALPREF,))
+    tied = [(1, (1, 9), 100, ""), (2, (2, 9), 100, "")]
+    with pytest.raises(PolicyError):
+        process.best([_offer_route(offer) for offer in tied])
+    with pytest.raises(PolicyError):
+        process.offer_key()

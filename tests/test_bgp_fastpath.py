@@ -5,6 +5,7 @@ relaxation against the frozen reference in
 ``tests/fastpath_reference.py``."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     Announcement,
@@ -15,16 +16,17 @@ from repro import (
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.fastpath import FastpathView
 from repro.bgp.rpki import ROA, ROATable
-from repro.collectors.rib import _origin_signature
+from repro.collectors.rib import _origin_signature, build_collector_rib
 from repro.errors import EngineError
 from repro.netutil import Prefix
-from repro.obs import use_frontier, use_provenance
+from repro.obs import use_frontier, use_provenance, use_registry
 from repro.rng import SeedTree
 from repro.topology.graph import Topology
 
 from tests.fastpath_reference import (
     propagate_fastpath as reference_fastpath,
 )
+from tests.test_property_routing import random_topology
 
 PFX = Prefix.parse("192.0.2.0/24")
 
@@ -97,6 +99,51 @@ class TestFastpathBasics:
         )
         # 4 hears a long path from 1 and a short one from 5 via 3.
         assert result.route_at(4).tag == "b"
+
+
+class TestIncumbentSelection:
+    """Selection compares a changed offer with the incumbent, and falls
+    back to the whole adj-RIB-in when the incumbent's own neighbor
+    changes; these cases pin the fallbacks the ecosystems rarely hit."""
+
+    @staticmethod
+    def incumbent_withdrawn():
+        """40 first picks 20's commodity route over 30's (lower
+        neighbor ASN); then 20 switches to a preferred R&E route it
+        does not export to 40 and withdraws, leaving 30's offer as
+        40's only candidate."""
+        topo = Topology()
+        for asn in (1, 2, 10, 20, 30, 40):
+            topo.add_as(asn, "as%d" % asn)
+        topo.add_provider(1, 20)   # commodity origin
+        topo.add_provider(1, 30)
+        topo.add_provider(2, 10)   # R&E origin, one hop further away
+        topo.add_provider(10, 20)
+        topo.add_provider(40, 20)
+        topo.add_provider(40, 30)
+        topo.node(20).policy.set_neighbor_localpref(10, 400)
+        topo.node(20).policy.no_export_tags[40] = {"re"}
+        announcements = [
+            Announcement(PFX, 1, tag="commodity"),
+            Announcement(PFX, 2, tag="re"),
+        ]
+        return topo, announcements
+
+    def test_incumbent_withdrawal_falls_back_to_the_rest(self):
+        topo, announcements = self.incumbent_withdrawn()
+        result = propagate_fastpath(topo, announcements)
+        assert result.route_at(20).tag == "re"
+        assert result.route_at(40).path.asns == (30, 1)
+        _assert_same(result, reference_fastpath(topo, announcements))
+
+    def test_provenance_matches_reference(self):
+        topo, announcements = self.incumbent_withdrawn()
+        events = []
+        for propagate in (propagate_fastpath, reference_fastpath):
+            with use_provenance() as recorder:
+                propagate(topo, announcements)
+            events.append(recorder.events())
+        assert events[0] and events[0] == events[1]
 
 
 class TestEngineOracle:
@@ -201,6 +248,23 @@ def _assert_same(result, reference):
     assert result.offers == reference.offers
 
 
+_WORK_COUNTERS = (
+    "fastpath.iterations",
+    "fastpath.selections",
+    "fastpath.decision_cache_hits",
+    "fastpath.decision_cache_misses",
+)
+
+
+def _counted(propagate, *args, **kwargs):
+    """*propagate*'s result and its work counters, read from a fresh
+    registry."""
+    with use_registry() as registry:
+        result = propagate(*args, **kwargs)
+    return result, {name: registry.counter_value(name)
+                    for name in _WORK_COUNTERS}
+
+
 class TestViewDifferential:
     """The view-based relaxation against the frozen pre-view reference
     on the TEST_SCALE ecosystem."""
@@ -212,10 +276,53 @@ class TestViewDifferential:
         assert len(runs) > 20
         for prefix, origin in runs:
             announcements = [Announcement(prefix=prefix, origin_asn=origin)]
-            _assert_same(
-                propagate_fastpath(topology, announcements, view=view),
-                reference_fastpath(topology, announcements),
+            reference, expected = _counted(
+                reference_fastpath, topology, announcements
             )
+            shared, shared_counts = _counted(
+                propagate_fastpath, topology, announcements, view=view
+            )
+            one_shot, one_shot_counts = _counted(
+                propagate_fastpath, topology, announcements
+            )
+            _assert_same(shared, reference)
+            _assert_same(one_shot, reference)
+            # A fresh view misses its decision-process cache exactly
+            # where the reference's per-call cache does; a shared one
+            # moves only misses to hits.
+            assert one_shot_counts == expected
+            assert shared_counts["fastpath.iterations"] == (
+                expected["fastpath.iterations"]
+            )
+            assert shared_counts["fastpath.selections"] == (
+                expected["fastpath.selections"]
+            )
+            assert (
+                shared_counts["fastpath.decision_cache_hits"]
+                + shared_counts["fastpath.decision_cache_misses"]
+                == expected["fastpath.decision_cache_hits"]
+                + expected["fastpath.decision_cache_misses"]
+            )
+
+    def test_compact_paths_match_routes_per_signature(self, ecosystem):
+        """``path_at`` reads the path ``route_at`` materialises, and the
+        collector RIB's observer entry is that path."""
+        topology = ecosystem.topology
+        observer = ecosystem.ripe_asn
+        rib = build_collector_rib(ecosystem, [observer])
+        for prefix, origin in _signature_runs(ecosystem):
+            announcements = [Announcement(prefix=prefix, origin_asn=origin)]
+            compact = propagate_fastpath(topology, announcements)
+            paths = {asn: compact.path_at(asn) for asn in topology.nodes}
+            routes = propagate_fastpath(topology, announcements)
+            for asn, path in paths.items():
+                route = routes.route_at(asn)
+                assert path == (None if route is None else route.path.asns)
+            entry = rib.route(observer, prefix)
+            if paths[observer] is None:
+                assert entry is None
+            else:
+                assert entry.path == paths[observer]
 
     def test_measurement_plain(self, ecosystem):
         announcements = _measurement(ecosystem)
@@ -330,3 +437,38 @@ class TestViewDifferential:
                 diamond(), [Announcement(PFX, 1)],
                 view=FastpathView(ecosystem.topology),
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_topology(), st.data())
+def test_matches_reference_on_random_topologies(case, data):
+    """On random small topologies with up to two tagged origins, tag
+    filters and failed links, the relaxation matches the reference,
+    counters included."""
+    topo, origin, prepends = case
+    announcements = [
+        Announcement(PFX, origin, default_prepends=prepends, tag="re")
+    ]
+    second = data.draw(st.integers(min_value=1, max_value=len(topo)))
+    if second != origin:
+        announcements.append(Announcement(PFX, second, tag="commodity"))
+    links = sorted(
+        (a, b) for a in topo.nodes for b in topo.neighbors(a) if a < b
+    )
+    for a, b in links:
+        for sender, receiver in ((a, b), (b, a)):
+            if data.draw(st.integers(min_value=0, max_value=4)) == 0:
+                topo.node(sender).policy.no_export_tags[receiver] = {"re"}
+    down = []
+    if links:
+        down = [frozenset(link) for link in data.draw(
+            st.lists(st.sampled_from(links), max_size=2)
+        )]
+    reference, expected = _counted(
+        reference_fastpath, topo, announcements, down_links=down
+    )
+    result, counts = _counted(
+        propagate_fastpath, topo, announcements, down_links=down
+    )
+    _assert_same(result, reference)
+    assert counts == expected

@@ -1,12 +1,22 @@
 """Tests for the collector substrate: update ingestion, RIB snapshots,
 and the churn report."""
 
+from types import SimpleNamespace
+
+import pytest
+
 from repro.bgp.engine import UpdateEvent
-from repro.bgp.attributes import ASPath, Route
+from repro.bgp.attributes import Announcement, ASPath, Route
+from repro.bgp.fastpath import propagate_fastpath
 from repro.collectors import Collector, build_churn_report, build_collector_rib
-from repro.collectors.rib import neighbor_is_re, observe_origin_prepending
+from repro.collectors.rib import (
+    _origin_signature,
+    neighbor_is_re,
+    observe_origin_prepending,
+)
 from repro.core.report import experiment_collector
 from repro.netutil import Prefix
+from repro.topology.graph import Topology
 from repro.topology.re_config import PrependClass
 
 MEAS = Prefix.parse("163.253.63.0/24")
@@ -155,6 +165,83 @@ class TestCollectorRIB:
     def test_neighbor_is_re(self, ecosystem):
         assert neighbor_is_re(ecosystem.topology, ecosystem.geant_asn)
         assert not neighbor_is_re(ecosystem.topology, ecosystem.lumen_asn)
+
+
+# Two origins, 10 and 11, with the same neighbors and relationships;
+# each builder makes them differ in one more input the fastpath reads
+# on the origin's own edges, and returns the observer that sees it.
+
+
+def _two_homed(topo):
+    """10 and 11 are customers of 2 and 3; 3 is a customer of 2; the
+    observer 5 is a customer of 2, which prefers the direct route."""
+    for asn in (2, 3, 5, 10, 11):
+        topo.add_as(asn, "as%d" % asn)
+    for origin in (10, 11):
+        topo.add_provider(origin, 2)
+        topo.add_provider(origin, 3)
+    topo.add_provider(3, 2)
+    topo.add_provider(5, 2)
+    return 5
+
+
+def _upstream_localpref_override(topo):
+    observer = _two_homed(topo)
+    topo.node(2).policy.set_neighbor_localpref(10, 50)
+    return observer
+
+
+def _origin_tag_filter(topo):
+    observer = _two_homed(topo)
+    topo.node(10).policy.no_export_tags[2] = {""}
+    return observer
+
+
+def _origin_fabric_link(topo):
+    """10 and 11 are customers of 3 and peers of 2, over the R&E fabric
+    for 10 only; 2 is a fabric peer of the observer 4, which gives 2
+    and its customer 3 the same localpref."""
+    for asn in (2, 3, 4, 10, 11):
+        topo.add_as(asn, "as%d" % asn)
+    topo.add_peering(10, 2, fabric=True)
+    topo.add_peering(11, 2)
+    for origin in (10, 11):
+        topo.add_provider(origin, 3)
+    topo.add_provider(3, 4)
+    topo.add_peering(2, 4, fabric=True)
+    topo.node(4).policy.set_neighbor_localpref(2, 300)
+    return 4
+
+
+@pytest.mark.parametrize("build", [
+    _upstream_localpref_override,
+    _origin_tag_filter,
+    _origin_fabric_link,
+])
+def test_origin_signature_covers_origin_edge_policy(build):
+    topo = Topology()
+    observer = build(topo)
+    prefixes = {10: Prefix.parse("10.0.0.0/24"),
+                11: Prefix.parse("11.0.0.0/24")}
+    for origin, prefix in prefixes.items():
+        topo.originate(origin, prefix)
+    assert _origin_signature(topo, 10) != _origin_signature(topo, 11)
+
+    rib = build_collector_rib(
+        SimpleNamespace(topology=topo), [observer], prefixes.values()
+    )
+    assert (rib.fastpath_runs, rib.memo_hits) == (2, 0)
+    direct = {
+        origin: propagate_fastpath(
+            topo, [Announcement(prefix, origin)]
+        ).route_at(observer).path.asns
+        for origin, prefix in prefixes.items()
+    }
+    for origin, prefix in prefixes.items():
+        assert rib.route(observer, prefix).path == direct[origin]
+    # Reusing 10's run for 11 would have been wrong: the paths differ
+    # beyond the origin ASN.
+    assert direct[10][:-1] != direct[11][:-1]
 
 
 class TestPrependObservation:
