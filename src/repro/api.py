@@ -109,12 +109,15 @@ __all__ = [
 #: reads schema-3 documents, folding their flat execution keys into
 #: the nested policy.
 #:
-#: Schema 4 still writes ``"decision_backend": "object"`` as a constant
-#: key although the field is gone (route selection has one
-#: implementation, :class:`~repro.bgp.decision.DecisionProcess`):
-#: campaign checkpoints and summaries embed :meth:`ExperimentSpec.as_dict`
-#: and :meth:`ExperimentSpec.digest`, so dropping the key would change
-#: every spec digest for a change that alters no result.
+#: Schema 4 still writes ``"decision_backend": "object"`` and
+#: ``"profile": false`` as constant keys although both fields are gone
+#: (route selection has one implementation,
+#: :class:`~repro.bgp.decision.DecisionProcess`; per-spec phase
+#: profiles gave way to the run's phase budget,
+#: :mod:`repro.obs.budget`): campaign checkpoints and summaries embed
+#: :meth:`ExperimentSpec.as_dict` and :meth:`ExperimentSpec.digest`, so
+#: dropping a key would change every spec digest for a change that
+#: alters no result.
 SPEC_SCHEMA_VERSION = 4
 
 #: The constant ``decision_backend`` value schema-4 documents carry,
@@ -256,10 +259,6 @@ class ExperimentSpec:
     #: contract — but capturing is opt-in, so the field lives with the
     #: other observability options.
     frontier_capacity: Optional[int] = None
-    #: Install a run-local :class:`~repro.obs.profile.PhaseProfiler`
-    #: and attach its payload as ``result.profile``.  Execution
-    #: metadata only (timings), outside the identity contract.
-    profile: bool = False
     #: Legacy flat execution keywords, accepted for source
     #: compatibility and folded into ``execution``.  They are
     #: init-only: the canonical storage (and the serialised form) is
@@ -384,10 +383,6 @@ class ExperimentSpec:
     def wants_frontier(self) -> bool:
         return self.frontier_capacity is not None
 
-    @property
-    def wants_profile(self) -> bool:
-        return self.profile
-
     # -- serialisation -------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:
@@ -403,6 +398,7 @@ class ExperimentSpec:
                 value = list(value)
             out[spec_field.name] = value
         out["decision_backend"] = _DECISION_BACKEND
+        out["profile"] = False
         return out
 
     #: Flat execution keys that schema-3 documents (and the legacy
@@ -420,7 +416,7 @@ class ExperimentSpec:
         known = {f.name for f in dataclasses.fields(cls)}
         known.update(cls._LEGACY_EXECUTION_KEYS)
         unknown = sorted(
-            set(data) - known - {"schema", "decision_backend"}
+            set(data) - known - {"schema", "decision_backend", "profile"}
         )
         if unknown:
             raise ExperimentError(
@@ -598,13 +594,11 @@ def run_experiment(
     local recorder is installed for the run and its event stream is
     attached as ``result.provenance_events``; an already-active
     recorder (e.g. the CLI's) is left in place and keeps receiving
-    events as usual.  ``frontier_capacity`` and ``profile`` work the
-    same way: a run-local :class:`~repro.obs.frontier.FrontierTrace` /
-    :class:`~repro.obs.profile.PhaseProfiler` is installed only when
-    none is active, and its output lands on
-    ``result.frontier_events`` / ``result.profile``
-    (:func:`repro.obs.lens.capture_for_spec`, shared with campaign
-    cells).
+    events as usual.  ``frontier_capacity`` works the same way: a
+    run-local :class:`~repro.obs.frontier.FrontierTrace` is installed
+    only when none is active, and its events land on
+    ``result.frontier_events`` (:func:`repro.obs.lens.capture_for_spec`,
+    shared with campaign cells).
 
     *progress_hook*, when given, is called with keyword fields
     (``phase``, ``rounds_completed``, ``shards_completed``, ...) as

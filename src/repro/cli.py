@@ -24,9 +24,8 @@
   recorded ``BENCH_HISTORY.jsonl`` trajectory and exit non-zero on a
   wall-time regression (see :mod:`repro.obs.benchtrack`; ``--json``
   emits the machine-readable diff);
-- ``profile`` — render the hotspot tables of a ``--profile-out``
-  artifact (or a campaign's per-cell profile directory — see
-  :mod:`repro.obs.profile`).
+- ``profile`` — render the phase budget a ``--profile-out`` run wrote
+  (see :mod:`repro.obs.budget`).
 
 ``reproduce``, ``explain``, and ``sweep`` share identical common
 options via argparse parent parsers: the run options
@@ -34,7 +33,14 @@ options via argparse parent parsers: the run options
 the observability options (``--log-level/--log-json/--metrics-out/
 --metrics-format/--telemetry-out/--telemetry-interval/
 --provenance-out/--provenance-capacity/--trace-out/--frontier-out/
---frontier-capacity/--profile-out``).
+--frontier-capacity/--profile-out``).  ``whatif`` takes the
+observability options too.
+
+``--profile-out`` writes the run's phase budget: per-phase calls and
+seconds read from the span histograms at export time, plus the
+command's own wall time.  It installs nothing and changes no stdout
+byte.  For function-level hotspots, run the command under the stdlib
+profiler: ``python -m cProfile -o run.pstats -m repro reproduce ...``.
 """
 
 from __future__ import annotations
@@ -60,12 +66,17 @@ from .errors import AnalysisError, ExperimentError, ReproError
 from .experiment.status import DEFAULT_STALE_AFTER_SECONDS
 from .obs import configure_logging, get_registry
 from .obs.benchtrack import DEFAULT_THRESHOLD_PCT
+from .obs.budget import (
+    DEFAULT_TOP_N,
+    export_budget,
+    load_budget,
+    render_budget,
+)
 from .obs.frontier import (
     DEFAULT_FRONTIER_CAPACITY,
     disable_frontier,
     enable_frontier,
 )
-from .obs.profile import disable_profiling, enable_profiling
 from .obs.telemetry import DEFAULT_INTERVAL_SECONDS, TelemetrySampler
 from .obs.provenance import (
     DEFAULT_CAPACITY,
@@ -174,9 +185,9 @@ def _obs_options() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--profile-out", metavar="FILE.json",
-        help="profile the run's phases with cProfile and write the "
-             "hotspot payload (plus a binary FILE.json.pstats twin); "
-             "render it later with 'repro profile FILE.json'",
+        help="write the run's phase budget (calls and seconds per "
+             "span phase, plus wall time) as JSON; render it with "
+             "'repro profile FILE.json'",
     )
     return parent
 
@@ -375,18 +386,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="render the hotspot tables of a --profile-out artifact "
-             "(or a directory of campaign per-cell profiles)",
+        help="render the phase budget written by --profile-out",
     )
     profile.add_argument(
-        "artifact", metavar="PATH",
-        help="a profile JSON file written by --profile-out, or a "
-             "directory (e.g. a campaign's cells/) whose *.json "
-             "profile payloads are merged",
+        "artifact", metavar="FILE.json",
+        help="a phase-budget JSON file written by --profile-out",
     )
     profile.add_argument(
         "--top", type=int, default=None, metavar="N",
-        help="rows per hotspot table (default: the artifact's top_n)",
+        help="phase rows to show (default: %d)" % DEFAULT_TOP_N,
     )
     return parser
 
@@ -509,24 +517,20 @@ def _export_frontier(trace, path: str) -> None:
     print("wrote %d frontier events to %s%s" % (count, path, suffix))
 
 
-def _enable_profile(args):
-    """Install the process-wide phase profiler when ``--profile-out``
-    was given (returns ``None`` otherwise)."""
+def _write_budget(args, started: float) -> None:
+    """Write the phase budget when ``--profile-out`` was given;
+    *started* is the command's ``perf_counter`` at entry."""
     if not args.profile_out:
-        return None
-    return enable_profiling()
-
-
-def _export_profile(profiler, path: str) -> None:
-    from .obs.profile import export_profile
-
-    payload = export_profile(profiler, path)
-    # Stderr, like telemetry: profile contents are timings — execution
+        return
+    payload = export_budget(
+        args.profile_out, time.perf_counter() - started
+    )
+    # Stderr, like telemetry: the budget is timings — execution
     # metadata — so stdout stays byte-identical with and without
     # --profile-out.
     print(
-        "wrote phase profile (%d phases) to %s"
-        % (len(payload.get("phases", {})), path),
+        "wrote phase budget (%d phases) to %s"
+        % (len(payload["phases"]), args.profile_out),
         file=sys.stderr,
     )
 
@@ -546,6 +550,7 @@ def _build_spec(args, experiment: str = "surf") -> ExperimentSpec:
 
 
 def _cmd_reproduce(args) -> int:
+    started = time.perf_counter()
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
@@ -567,7 +572,6 @@ def _cmd_reproduce(args) -> int:
             capacity=args.provenance_capacity or DEFAULT_CAPACITY
         )
     frontier = _enable_frontier(args)
-    profiler = _enable_profile(args)
     sampler = _start_telemetry(args)
     try:
         report = reproduce_paper(
@@ -580,8 +584,6 @@ def _cmd_reproduce(args) -> int:
             disable_provenance()
         if frontier is not None:
             disable_frontier()
-        if profiler is not None:
-            disable_profiling()
         _stop_telemetry(sampler)
     print(report.render())
     if args.figures:
@@ -619,9 +621,8 @@ def _cmd_reproduce(args) -> int:
         _export_recorder(recorder, args.provenance_out)
     if frontier is not None:
         _export_frontier(frontier, args.frontier_out)
-    if profiler is not None:
-        _export_profile(profiler, args.profile_out)
     _write_trace(args)
+    _write_budget(args, started)
     degradations = [
         record.as_dict()
         for result in (report.surf_result, report.internet2_result)
@@ -687,6 +688,7 @@ def _cmd_sweep(args) -> int:
         plan_grid,
     )
 
+    started = time.perf_counter()
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
@@ -727,7 +729,6 @@ def _cmd_sweep(args) -> int:
             capacity=args.provenance_capacity or DEFAULT_CAPACITY
         )
     frontier = _enable_frontier(args)
-    profiler = _enable_profile(args)
     runner = CampaignRunner(
         specs, args.campaign_dir,
         pool_workers=args.campaign_workers,
@@ -745,8 +746,6 @@ def _cmd_sweep(args) -> int:
             disable_provenance()
         if frontier is not None:
             disable_frontier()
-        if profiler is not None:
-            disable_profiling()
         _stop_telemetry(sampler)
     print(result.summary.render())
     print()
@@ -763,15 +762,15 @@ def _cmd_sweep(args) -> int:
         _export_recorder(recorder, args.provenance_out)
     if frontier is not None:
         _export_frontier(frontier, args.frontier_out)
-    if profiler is not None:
-        _export_profile(profiler, args.profile_out)
     _write_trace(args)
+    _write_budget(args, started)
     return 0
 
 
 def _cmd_explain(args) -> int:
     from .core.explain import explain_prefix
 
+    started = time.perf_counter()
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
@@ -794,7 +793,6 @@ def _cmd_explain(args) -> int:
         print(str(error), file=sys.stderr)
         return 2
     frontier = _enable_frontier(args)
-    profiler = _enable_profile(args)
     sampler = _start_telemetry(args)
     try:
         narrative = explain_prefix(
@@ -821,8 +819,6 @@ def _cmd_explain(args) -> int:
     finally:
         if frontier is not None:
             disable_frontier()
-        if profiler is not None:
-            disable_profiling()
         _stop_telemetry(sampler)
     print(narrative)
     _write_metrics(args)
@@ -830,9 +826,8 @@ def _cmd_explain(args) -> int:
         _export_recorder(recorder, args.provenance_out)
     if frontier is not None:
         _export_frontier(frontier, args.frontier_out)
-    if profiler is not None:
-        _export_profile(profiler, args.profile_out)
     _write_trace(args)
+    _write_budget(args, started)
     return 0
 
 
@@ -931,6 +926,7 @@ def _cmd_whatif(args) -> int:
     if frontier is not None:
         _export_frontier(frontier, args.frontier_out)
     _write_trace(args)
+    _write_budget(args, started)
     return 0
 
 
@@ -1058,20 +1054,18 @@ def _cmd_bench_diff(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .obs.profile import DEFAULT_TOP_N, load_profile, render_profile
-
     if args.top is not None and args.top < 1:
         print("--top must be >= 1", file=sys.stderr)
         return 2
     try:
-        payload = load_profile(args.artifact)
+        payload = load_budget(args.artifact)
     except FileNotFoundError:
-        print("no profile artifact at %s" % args.artifact, file=sys.stderr)
+        print("no phase budget at %s" % args.artifact, file=sys.stderr)
         return 2
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    print(render_profile(payload, top=args.top or DEFAULT_TOP_N))
+    print(render_budget(payload, top=args.top or DEFAULT_TOP_N))
     return 0
 
 

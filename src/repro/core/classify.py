@@ -25,6 +25,7 @@ from ..errors import AnalysisError
 from ..experiment.records import ExperimentResult
 from ..netutil import Prefix
 from ..obs.provenance import signal_from_kinds
+from ..obs.spans import span
 
 
 class RoundSignal(Enum):
@@ -194,6 +195,7 @@ class ExperimentInference:
         return out
 
 
+@span("core.classify")
 def classify_experiment(
     result: ExperimentResult,
     origin_of: Dict[Prefix, int],

@@ -14,6 +14,7 @@ from ..collectors.churn import ChurnReport, build_churn_report
 from ..collectors.collector import Collector
 from ..experiment.campaign import run_experiment_pair
 from ..experiment.records import ExperimentResult
+from ..obs.spans import span
 from ..topology.re_config import REEcosystemConfig
 from ..topology.re_ecosystem import Ecosystem, build_ecosystem
 from .aggregate import Table1, build_table1
@@ -50,6 +51,7 @@ class PaperReproduction:
     churn_internet2: ChurnReport
     ground_truth: GroundTruthReport
 
+    @span("core.report")
     def render(self) -> str:
         sections = [
             self.table1_surf.render(),
@@ -94,6 +96,12 @@ def reproduce_paper(
     (:mod:`repro.faults`): execution faults are recovered without
     changing the report, environment faults change it
     deterministically; ``shard_timeout`` bounds each shard execution.
+
+    Each layer runs under its own root span (``topology.build``,
+    ``campaign.cell.<label>``, ``core.classify``, ``core.figure5``,
+    ``core.report``), so the run's span tree and phase budget cover
+    the whole reproduction.  Figure 5 is built before the other tables;
+    they share no state with it, so the order changes no result.
     """
     if ecosystem is None:
         ecosystem = build_ecosystem(config or REEcosystemConfig(), seed=seed)
@@ -104,27 +112,33 @@ def reproduce_paper(
     origins = origin_map(ecosystem)
     surf_inference = classify_experiment(surf_result, origins)
     internet2_inference = classify_experiment(internet2_result, origins)
+    figure5 = build_figure5(ecosystem)
 
-    collector = experiment_collector(ecosystem, internet2_result)
-
-    return PaperReproduction(
-        ecosystem=ecosystem,
-        surf_result=surf_result,
-        internet2_result=internet2_result,
-        surf_inference=surf_inference,
-        internet2_inference=internet2_inference,
-        table1_surf=build_table1(surf_inference),
-        table1_internet2=build_table1(internet2_inference),
-        table2=build_table2(surf_inference, internet2_inference, ecosystem),
-        table3=build_table3(ecosystem, internet2_inference,
-                            internet2_result),
-        table4=build_table4(ecosystem, internet2_inference),
-        figure5=build_figure5(ecosystem),
-        figure8_surf=build_figure8(ecosystem, surf_inference,
-                                   internet2_inference, "surf"),
-        figure8_internet2=build_figure8(ecosystem, surf_inference,
-                                        internet2_inference, "internet2"),
-        churn_internet2=build_churn_report(internet2_result, collector),
-        ground_truth=operator_ground_truth(ecosystem, internet2_inference,
-                                           seed=seed),
-    )
+    with span("core.report"):
+        collector = experiment_collector(ecosystem, internet2_result)
+        return PaperReproduction(
+            ecosystem=ecosystem,
+            surf_result=surf_result,
+            internet2_result=internet2_result,
+            surf_inference=surf_inference,
+            internet2_inference=internet2_inference,
+            table1_surf=build_table1(surf_inference),
+            table1_internet2=build_table1(internet2_inference),
+            table2=build_table2(surf_inference, internet2_inference,
+                                ecosystem),
+            table3=build_table3(ecosystem, internet2_inference,
+                                internet2_result),
+            table4=build_table4(ecosystem, internet2_inference),
+            figure5=figure5,
+            figure8_surf=build_figure8(ecosystem, surf_inference,
+                                       internet2_inference, "surf"),
+            figure8_internet2=build_figure8(
+                ecosystem, surf_inference, internet2_inference,
+                "internet2",
+            ),
+            churn_internet2=build_churn_report(internet2_result,
+                                               collector),
+            ground_truth=operator_ground_truth(
+                ecosystem, internet2_inference, seed=seed
+            ),
+        )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..collectors.rib import CollectorRIB, build_collector_rib, neighbor_is_re
+from ..obs.spans import span
 
 
 @dataclass
@@ -100,6 +101,7 @@ class Figure5:
         return "\n".join(lines)
 
 
+@span("core.figure5")
 def build_figure5(
     ecosystem,
     rib: Optional[CollectorRIB] = None,

@@ -61,7 +61,6 @@ from ..errors import ExperimentError
 from ..faults import FaultPlan
 from ..obs import get_logger, get_registry, span
 from ..obs.lens import LENSES, attach_artifacts, capture_for_spec
-from ..obs.profile import PhaseProfiler
 from ..rng import SeedTree
 from ..seeds.selection import SeedPlan, select_seeds
 from ..topology.re_config import SCENARIO_PRESETS
@@ -484,7 +483,6 @@ def plan_grid(
     fault_spec: str = "",
     provenance_capacity: Optional[int] = None,
     frontier_capacity: Optional[int] = None,
-    profile: bool = False,
 ) -> List[ExperimentSpec]:
     """The (seed × scenario × experiment) grid, in deterministic
     seed-major order.  Unknown scenario names fail here, before any
@@ -500,7 +498,6 @@ def plan_grid(
             fault_spec=fault_spec,
             provenance_capacity=provenance_capacity,
             frontier_capacity=frontier_capacity,
-            profile=profile,
         )
         for seed in seeds
         for scenario in scenarios
@@ -627,8 +624,8 @@ class CampaignRunner:
         os.replace(temp, path)
 
     def _write_cell_artifacts(self, outcome: CellOutcome) -> None:
-        """One ``<digest>.<artifact>`` file per spec artifact: event
-        lists as JSON lines, the profile payload as one document."""
+        """One ``<digest>.<artifact>`` JSON-lines file per spec
+        artifact (an event list)."""
         os.makedirs(self.cells_dir, exist_ok=True)
         for lens in LENSES:
             if lens.name not in outcome.artifacts:
@@ -639,55 +636,10 @@ class CampaignRunner:
             )
             temp = path + ".tmp"
             with open(temp, "w", encoding="utf-8") as handle:
-                if isinstance(payload, list):
-                    for event in payload:
-                        handle.write(json.dumps(event, sort_keys=True))
-                        handle.write("\n")
-                else:
-                    json.dump(payload, handle, indent=1, sort_keys=True)
+                for event in payload:
+                    handle.write(json.dumps(event, sort_keys=True))
                     handle.write("\n")
             os.replace(temp, path)
-
-    def cell_profile_path(self, digest: str) -> str:
-        return os.path.join(self.cells_dir, "%s.profile.json" % digest)
-
-    @property
-    def campaign_profile_path(self) -> str:
-        return os.path.join(self.directory, "campaign_profile.json")
-
-    def _write_campaign_profile(self) -> None:
-        """Aggregate every profile-requesting cell's on-disk payload
-        (current run *and* resumed checkpoints) into one campaign-level
-        hotspot summary at ``campaign_profile.json``."""
-        merged = PhaseProfiler(use_cprofile=False)
-        cells = 0
-        for spec in self.specs:
-            if not spec.wants_profile:
-                continue
-            try:
-                with open(
-                    self.cell_profile_path(spec.digest()),
-                    "r", encoding="utf-8",
-                ) as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if (
-                isinstance(payload, dict)
-                and payload.get("kind") == "phase_profile"
-            ):
-                merged.merge_payload(payload)
-                cells += 1
-        if not cells:
-            return
-        merged.labels["cells"] = str(cells)
-        temp = self.campaign_profile_path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(
-                merged.as_payload(), handle, indent=1, sort_keys=True
-            )
-            handle.write("\n")
-        os.replace(temp, self.campaign_profile_path)
 
     # -- execution -----------------------------------------------------
 
@@ -784,7 +736,6 @@ class CampaignRunner:
         result.records = {r["digest"]: r for r in ordered}
         result.summary = build_campaign_summary(ordered)
         self._write_summary(result.summary)
-        self._write_campaign_profile()
         _log.info(
             "campaign complete",
             completed=result.completed, skipped=skipped,

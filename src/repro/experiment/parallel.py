@@ -41,10 +41,10 @@ Hence ``ShardedRunner(workers=k, shard_size=s)`` produces the same
 ``s`` — the property ``tests/test_differential.py`` enforces.
 
 Observability: shards produce no lens data of their own.  A pool
-worker's metrics, ``runner.shard.<n>`` span tree and profile phases
-ride back in the scheduler's ``obs`` payload (:mod:`repro.obs.lens`)
-and fold into the parent's lenses in shard order; inline shards record
-straight into them.  Provenance signal events and round-frontier rows
+worker's metrics and ``runner.shard.<n>`` span tree ride back in the
+scheduler's ``obs`` payload (:mod:`repro.obs.lens`) and fold into the
+parent's lenses in shard order; inline shards record straight into
+them.  Provenance signal events and round-frontier rows
 are built in the parent from the rebuilt responses, exactly as the
 serial prober builds them.
 

@@ -45,8 +45,8 @@ class ShardOutcome:
     objects are pickled across the process boundary.  The parent also
     builds every provenance signal event and round-frontier row from
     those responses, so a shard carries no lens data; a pool worker's
-    metrics, spans and profile phases travel in the scheduler's
-    ``obs`` payload instead (:mod:`repro.obs.lens`).
+    metrics and spans travel in the scheduler's ``obs`` payload
+    instead (:mod:`repro.obs.lens`).
     """
 
     shard_id: int
@@ -167,11 +167,6 @@ class ExperimentResult:
     #: identity contract: byte-identical across workers / shard size
     #: (asserted in tests/test_differential.py).
     frontier_events: Optional[List[dict]] = None
-    #: Phase-profile payload from a spec-requested local profiler
-    #: (``profile=True``).  Execution metadata like ``degradations`` —
-    #: explicitly *excluded* from the identity contract (timings vary
-    #: run to run).
-    profile: Optional[dict] = None
 
     @property
     def num_rounds(self) -> int:

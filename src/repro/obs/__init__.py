@@ -24,12 +24,12 @@ Zero-dependency instrumentation for the engine → runner → CLI stack:
   event trace of per-window frontier sizes, causality depths,
   quiescence curves, and per-round signal diffs (byte-identical
   across execution modes; ``--frontier-out``);
-- :mod:`repro.obs.profile` — deterministic phase profiler: cProfile
-  hotspots (or counter-based attribution) aggregated per span phase,
-  exported as mergeable JSON payloads (``--profile-out`` /
-  ``repro profile``);
-- :mod:`repro.obs.lens` — the one protocol that isolates the lenses
-  above in pool tasks and merges their payloads back in task order.
+- :mod:`repro.obs.lens` — the one protocol that isolates the metrics,
+  provenance and frontier lenses in pool tasks and merges their
+  payloads back in task order;
+- :mod:`repro.obs.budget` — the phase budget: per-phase calls and
+  seconds read straight from the span histograms at export time
+  (``--profile-out`` / ``repro profile``).
 
 Everything is off-by-default and adds near-zero overhead when idle:
 hot paths accumulate into locals and flush per convergence run or per
@@ -61,13 +61,6 @@ from .frontier import (
     enable_frontier,
     use_frontier,
 )
-from .profile import (
-    PhaseProfiler,
-    active_profiler,
-    disable_profiling,
-    enable_profiling,
-    use_profiling,
-)
 from .spans import SpanRecord, current_span, finished_roots, reset_trace, span
 from .telemetry import TelemetrySampler
 
@@ -78,11 +71,6 @@ __all__ = [
     "enable_frontier",
     "disable_frontier",
     "use_frontier",
-    "PhaseProfiler",
-    "active_profiler",
-    "enable_profiling",
-    "disable_profiling",
-    "use_profiling",
     "ProvenanceRecorder",
     "active_recorder",
     "enable_provenance",

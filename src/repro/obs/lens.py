@@ -1,14 +1,14 @@
 """One observability-lens protocol: isolate, ship, merge.
 
-Four lenses observe a run: metrics plus spans, provenance, frontier
-and the phase profile.  Each keeps one process-global instance that
-hot paths check directly (``get_registry()``, ``active_recorder()``,
-``active_frontier()``, ``active_profiler()``).  Work executed in
-another process must not write into the instance it inherited across
-``fork``; it records into fresh local instances and ships their
-contents back, and the parent folds them in task order, so the
-parent's streams equal those of a run that executed everything in one
-process.  Every lens does that the same way, through four operations:
+Three lenses observe a run: metrics plus spans, provenance and
+frontier.  Each keeps one process-global instance that hot paths
+check directly (``get_registry()``, ``active_recorder()``,
+``active_frontier()``).  Work executed in another process must not
+write into the instance it inherited across ``fork``; it records into
+fresh local instances and ships their contents back, and the parent
+folds them in task order, so the parent's streams equal those of a run
+that executed everything in one process.  Every lens does that the
+same way, through four operations:
 
 ``isolate()``
     Context manager installing a fresh local instance configured like
@@ -21,27 +21,27 @@ process.  Every lens does that the same way, through four operations:
     Fold a payload into the active instance.
 ``for_spec(spec)``
     A fresh instance when an :class:`~repro.api.ExperimentSpec` asks
-    for capture and none is active, else None.  Its payload becomes a
-    spec artifact (``result.<result_field>``, and the campaign's
-    ``cells/<digest>.<artifact>`` file).
+    for capture and none is active, else None.  Its event list becomes
+    a spec artifact (``result.<result_field>``, and the campaign's
+    ``cells/<digest>.<artifact>`` JSONL file).
 
 :data:`LENSES` is the registry: a fixed tuple, no registration API.
 The scheduler runs every pool task through :func:`run_isolated` and
 folds the returned ``obs`` dict with :func:`merge_obs`; inline tasks
 record straight into the current process's lenses.  This is the only
-module that isolates or merges observability state.
+module that isolates or merges observability state.  The phase budget
+(:mod:`repro.obs.budget`) is not a lens: it reads the merged span
+histograms at export time.
 """
 
 from __future__ import annotations
 
 import contextlib
-import sys
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from . import spans
 from .frontier import FrontierTrace, active_frontier, use_frontier
 from .metrics import MetricsRegistry, get_registry, use_registry
-from .profile import PhaseProfiler, active_profiler, use_profiling
 from .provenance import (
     DEFAULT_CAPACITY,
     ProvenanceRecorder,
@@ -60,7 +60,7 @@ __all__ = [
 
 
 class Lens:
-    """Base of the four lenses, written for the event rings
+    """Base of the three lenses, written for the event rings
     (:class:`~repro.obs.provenance.ProvenanceRecorder`,
     :class:`~repro.obs.frontier.FrontierTrace`).  Subclasses name
     ``active()`` (the process-global getter), ``use(instance)`` (its
@@ -150,44 +150,10 @@ class _FrontierLens(Lens):
         return FrontierTrace(capacity=spec.frontier_capacity)
 
 
-class _ProfileLens(Lens):
-    name = "profile"
-    result_field = "profile"
-    artifact = "profile.json"
-    active = staticmethod(active_profiler)
-    use = use_profiling
-
-    def isolate(self):
-        # A fork child inherits the parent's profiler and, when the
-        # fork happened inside a profiled phase, the thread's live
-        # cProfile hook.  The foreign profiler is inert (it records
-        # only in its own process); drop the hook so task timings are
-        # not skewed.
-        active = active_profiler()
-        if active is not None and not active.owns_process():
-            sys.setprofile(None)
-        return super().isolate()
-
-    def fresh(self, like: PhaseProfiler) -> PhaseProfiler:
-        return PhaseProfiler(use_cprofile=like.use_cprofile, top_n=like.top_n)
-
-    def payload(self):
-        profiler = active_profiler()
-        return None if profiler is None else profiler.as_payload()
-
-    def merge(self, payload) -> None:
-        active_profiler().merge_payload(payload)
-
-    def for_spec(self, spec):
-        if not spec.wants_profile or active_profiler() is not None:
-            return None
-        return PhaseProfiler()
-
-
 #: The lenses, in isolate/merge order.  Fixed: adding a lens means
 #: adding it here.
 LENSES: Tuple[Lens, ...] = (
-    _MetricsLens(), _ProvenanceLens(), _FrontierLens(), _ProfileLens(),
+    _MetricsLens(), _ProvenanceLens(), _FrontierLens(),
 )
 
 

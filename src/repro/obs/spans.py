@@ -20,7 +20,14 @@ nodes carry name, start offset, and duration — enough to see where a
 ``reproduce`` run spends its time without a tracing backend.  The
 stack is thread-local; trees from different threads never interleave.
 The retained-roots buffer is bounded so long-lived processes do not
-leak; histograms are unaffected by the bound.
+leak; histograms are unaffected by the bound.  The program opens one
+span per layer entry point (``topology.build``, ``seeds.select``,
+``campaign.cell.<label>``, ``core.classify``, ``core.figure5``,
+``core.report``), so a run's many inner spans nest under a few roots.
+
+The histograms are the run's one timing source: the phase budget
+(:mod:`repro.obs.budget`, ``--profile-out``) reads its per-phase calls
+and seconds straight from them.
 """
 
 from __future__ import annotations
@@ -34,28 +41,10 @@ from typing import Callable, List, Optional
 from .metrics import DEFAULT_TIME_BUCKETS, get_registry
 
 __all__ = ["SpanRecord", "span", "finished_roots", "reset_trace",
-           "current_span", "detached_trace", "attach_completed",
-           "set_phase_observer"]
+           "current_span", "detached_trace", "attach_completed"]
 
 #: Retain at most this many completed root spans per thread.
 MAX_FINISHED_ROOTS = 256
-
-#: Optional phase observer (duck-typed ``phase_enter(record)`` /
-#: ``phase_exit(record)``), installed by :mod:`repro.obs.profile` when
-#: profiling is enabled.  Disabled, every span pays exactly one
-#: module-global ``None`` check on enter and exit.
-_phase_observer = None
-
-
-def set_phase_observer(observer):
-    """Install *observer* (or None to disable); returns the previous
-    one.  Use :func:`repro.obs.profile.set_profiler` rather than
-    calling this directly."""
-    global _phase_observer
-    previous = _phase_observer
-    _phase_observer = observer
-    return previous
-
 
 class SpanRecord:
     """One completed (or in-flight) span."""
@@ -168,9 +157,6 @@ class span:
         self._record = record
         self._t0 = record.started_at
         _state.stack.append(record)
-        observer = _phase_observer
-        if observer is not None:
-            observer.phase_enter(record)
         return record
 
     def __exit__(self, *exc_info) -> None:
@@ -178,9 +164,6 @@ class span:
         self._record = None
         duration = time.perf_counter() - self._t0
         record.duration = duration
-        observer = _phase_observer
-        if observer is not None:
-            observer.phase_exit(record)
         stack = _state.stack
         # Tolerate exotic unwinding: pop through anything above us.
         while stack and stack[-1] is not record:

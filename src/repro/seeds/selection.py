@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Set
 
 from ..netutil import Prefix, exclude_covered
+from ..obs.spans import span
 from ..rng import SeedTree
 from .censys import CensysDataset
 from .isi import ISIHistoryDataset
@@ -109,6 +110,7 @@ class SeedPlan:
         return sum(len(t) for t in self.targets.values())
 
 
+@span("seeds.select")
 def select_seeds(
     ecosystem,
     isi: Optional[ISIHistoryDataset] = None,

@@ -22,6 +22,7 @@ from ..geo.regions import (
     US_STATE_PROFILES,
 )
 from ..netutil import Prefix
+from ..obs.spans import span
 from ..rng import SeedTree, sample_heavy_tailed_count, weighted_choice
 from . import asns
 from .alloc import PrefixAllocator
@@ -123,6 +124,7 @@ class Ecosystem:
         ]
 
 
+@span("topology.build")
 def build_ecosystem(
     config: Optional[REEcosystemConfig] = None, seed: int = 0
 ) -> Ecosystem:

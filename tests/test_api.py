@@ -183,6 +183,23 @@ def test_from_dict_reads_legacy_decision_backend():
         ExperimentSpec(decision_backend="object")
 
 
+def test_from_dict_reads_legacy_profile():
+    """Schema-4 documents carry ``profile``; per-spec profile capture is
+    gone, so ``true`` and ``false`` both load and are dropped, and the
+    constant ``false`` key is still written so digests stay pinned."""
+    base = ExperimentSpec()
+    assert base.as_dict()["profile"] is False
+    assert base.digest() == "77a105ef93a88b49"
+    for legacy in (True, False):
+        spec = ExperimentSpec.from_dict(dict(base.as_dict(), profile=legacy))
+        assert spec == base
+        assert spec.digest() == base.digest()
+    schema3 = dict(base.as_dict(), schema=3, profile=True)
+    assert ExperimentSpec.from_dict(schema3) == base
+    with pytest.raises(TypeError):
+        ExperimentSpec(profile=True)
+
+
 def test_from_dict_rejects_unknown_fields_and_schemas():
     with pytest.raises(ExperimentError, match="unknown ExperimentSpec"):
         ExperimentSpec.from_dict({"schema": SPEC_SCHEMA_VERSION,

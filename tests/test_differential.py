@@ -41,7 +41,8 @@ from repro.experiment.runner import ExperimentRunner
 from repro.experiment.scheduler import fork_available
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.obs.frontier import FrontierTrace, use_frontier
-from repro.obs.profile import PhaseProfiler, use_profiling
+from repro.obs.budget import phase_budget
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.provenance import ProvenanceRecorder, use_provenance
 from repro.rng import SeedTree
 
@@ -429,8 +430,8 @@ class TestFrontierDifferential:
     """The convergence-frontier stream — per-window frontier sizes,
     quiescence curves, per-round signal diffs — is byte-identical
     across workers 1/2/4.  Frontier events ride
-    inside the identity contract (unlike the profiler, which reports
-    wall-time and is excluded); any divergence is a correctness bug."""
+    inside the identity contract (unlike the phase budget, which
+    reports wall time and is excluded); any divergence is a correctness bug."""
 
     def test_streams_byte_identical(self, frontier_case):
         _, _, streams = frontier_case
@@ -482,13 +483,12 @@ class TestFrontierDifferential:
 
 
 def _pair_parent_lenses(ecosystem, workers):
-    """Run the surf/internet2 pair under an active recorder, frontier
-    trace and counter-mode profiler; returns both JSONL streams and
-    the profile's phase -> calls table."""
+    """Run the surf/internet2 pair under a fresh registry, an active
+    recorder and a frontier trace; returns both JSONL streams and the
+    phase budget's phase -> calls table."""
     recorder, trace = ProvenanceRecorder(), FrontierTrace()
-    profiler = PhaseProfiler(use_cprofile=False)
-    with use_provenance(recorder), use_frontier(trace), \
-            use_profiling(profiler):
+    with use_registry(MetricsRegistry()) as registry, \
+            use_provenance(recorder), use_frontier(trace):
         run_experiment_pair(ecosystem, seed=0, workers=workers)
     assert recorder.dropped == 0 and trace.dropped == 0
     provenance, frontier = io.StringIO(), io.StringIO()
@@ -496,7 +496,9 @@ def _pair_parent_lenses(ecosystem, workers):
     trace.export_jsonl(frontier)
     calls = {
         name: data["calls"]
-        for name, data in profiler.as_payload()["phases"].items()
+        for name, data in phase_budget(
+            registry.snapshot(), 0.0
+        )["phases"].items()
     }
     return provenance.getvalue(), frontier.getvalue(), calls
 

@@ -18,6 +18,8 @@ from repro.bgp.engine import (
 )
 from repro.cli import main
 from repro.errors import ExperimentError
+from repro.obs.budget import load_budget
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.whatif import parse_delta
 
 
@@ -145,6 +147,25 @@ class TestWhatifCli:
         assert "applied prepend:re=2" in out
         assert "applied withdraw:re" in out
         assert "after-deltas @" in out
+
+    def test_profile_out_writes_budget(self, tmp_path, capsys):
+        """``whatif`` takes ``--profile-out`` like the other run
+        commands; the budget goes to a file and a stderr note, so
+        stdout is unchanged."""
+        argv = ["whatif", "--scale", "0.04", "--seed", "0",
+                "--delta", "prepend:re=2", "--limit", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        budget = tmp_path / "budget.json"
+        with use_registry(MetricsRegistry()):
+            assert main(argv + ["--profile-out", str(budget)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert "phase budget" in captured.err
+        payload = load_budget(str(budget))
+        assert payload["phases"]["topology.build"]["calls"] == 1
+        assert payload["phases"]["engine.run_to_fixpoint"]["calls"] >= 1
+        assert payload["wall_seconds"] > 0
 
     def test_exit_two_on_bad_delta(self, capsys):
         code = main([
