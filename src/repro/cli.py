@@ -34,7 +34,8 @@ the observability options (``--log-level/--log-json/--metrics-out/
 --metrics-format/--telemetry-out/--telemetry-interval/
 --provenance-out/--provenance-capacity/--trace-out/--frontier-out/
 --frontier-capacity/--profile-out``).  ``whatif`` takes the
-observability options too.
+observability options too, but rejects ``--provenance-out`` (exit 2,
+before any output file is created): it records no provenance.
 
 ``--profile-out`` writes the run's phase budget: per-phase calls and
 seconds read from the span histograms at export time, plus the
@@ -64,7 +65,12 @@ from .dataio.json_results import (
 )
 from .errors import AnalysisError, ExperimentError, ReproError
 from .experiment.status import DEFAULT_STALE_AFTER_SECONDS
-from .obs import configure_logging, get_registry
+from .obs import (
+    MetricsRegistry,
+    configure_logging,
+    get_registry,
+    use_registry,
+)
 from .obs.benchtrack import DEFAULT_THRESHOLD_PCT
 from .obs.budget import (
     DEFAULT_TOP_N,
@@ -855,8 +861,16 @@ def _cmd_whatif(args) -> int:
     from .whatif import WhatIfSession, parse_delta
 
     _configure_obs(args)
+    if args.provenance_out:
+        # Checked before _check_output_paths creates any output file.
+        print(
+            "whatif records no provenance; --provenance-out is not "
+            "supported here (reproduce, sweep and explain record it)",
+            file=sys.stderr,
+        )
+        return 2
     problem = _check_output_paths(
-        args.metrics_out, args.provenance_out, args.trace_out,
+        args.metrics_out, args.trace_out,
         args.telemetry_out, args.frontier_out, args.profile_out,
     ) or _validate_run_args(args)
     if problem is None and args.limit < 0:
@@ -1084,7 +1098,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "profile": _cmd_profile,
     }
     try:
-        return handlers[args.command](args)
+        # Each command records into a registry of its own, so a second
+        # command in the same process reports only its own metrics.
+        with use_registry(MetricsRegistry()):
+            return handlers[args.command](args)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early.
         try:

@@ -31,9 +31,10 @@ Results are a pure function of the experiment seed:
 - probe transmit times are computed from each probe's global index in
   the round (``now + index / pps``), shipped to shards as a start
   offset, so pacing does not depend on execution order;
-- snapshot walks and live-RIB walks share one walk core
-  (:func:`repro.probing.forwarding._walk`), so the data plane cannot
-  drift between the serial and sharded paths.
+- the serial prober and every shard read return paths from a
+  :class:`~repro.probing.forwarding.Catchment` — over the live RIB and
+  over its snapshot respectively — built on the same per-AS step
+  semantics, so the data plane cannot drift between the two paths.
 
 Hence ``ShardedRunner(workers=k, shard_size=s)`` produces the same
 :class:`~repro.experiment.records.ExperimentResult` as the serial
@@ -73,7 +74,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import ExperimentError
@@ -136,6 +137,8 @@ class _WorkerState:
     systems: Dict[int, SystemPlan]
     interface_kinds: Dict[int, str]   # announcement origin -> VLAN kind
     pps: int
+    #: Stream labels, filled once per worker (prefix_stream_rng).
+    stream_labels: Dict[Prefix, str] = field(default_factory=dict)
 
 
 def _probe_shard(
@@ -149,30 +152,28 @@ def _probe_shard(
     Mirrors :meth:`repro.probing.prober.Prober.probe_round` exactly:
     same prefix order (the spec carries a contiguous slice of the
     round's sorted order), same per-prefix streams, same global-index
-    pacing, and the shared :func:`probe_one` semantics.  Returns one
+    pacing, the shared :func:`probe_one` semantics, and one
+    :class:`~repro.probing.forwarding.Catchment` over the snapshot, as
+    the serial round has one over the live RIB.  Returns one
     compact wire row per probe (:func:`response_row`), in probe order;
     the parent rebuilds :class:`ProbeResponse` objects from them.
     """
-    origin_set = frozenset(state.interface_kinds)
+    catchment = snapshot.catchment(state.interface_kinds)
     interface_kind_of = state.interface_kinds.__getitem__
+    systems = state.systems
     interval = 1.0 / state.pps
     index = spec.start_index
     rows: List[Optional[tuple]] = []
-
-    def walk(start_asn: int):
-        return snapshot.walk(start_asn, origin_set)
-
     for prefix in spec.prefixes:
-        rng = prefix_stream_rng(spec.round_seed, prefix)
+        rng = prefix_stream_rng(spec.round_seed, prefix, state.stream_labels)
         blanked = prefix in lossy_prefixes
         for target in state.targets[prefix]:
-            response = probe_one(
-                state.systems.get(target.address),
-                target, walk, interface_kind_of, rng,
+            rows.append(response_row(probe_one(
+                systems.get(target.address),
+                target, catchment, interface_kind_of, rng,
                 spec.started_at + index * interval,
                 force_loss=blanked,
-            )
-            rows.append(response_row(response))
+            )))
             index += 1
     return rows
 

@@ -4,7 +4,8 @@
   VLAN interfaces (Figure 2);
 - :mod:`repro.probing.forwarding` — the data-plane walker that carries
   a response hop-by-hop along each AS's *own* best route back to the
-  measurement prefix (the return-path signal the method measures);
+  measurement prefix (the return-path signal the method measures), and
+  the per-round catchment table that resolves each AS's walk once;
 - :mod:`repro.probing.prober` — a scamper-like prober: paced probe
   rounds, per-probe loss, and IP_PKTINFO-style arrival-interface
   recording.
@@ -12,6 +13,7 @@
 
 from .host import MeasurementHost, VLANInterface
 from .forwarding import (
+    Catchment,
     ForwardingOutcome,
     ReturnPath,
     RibSnapshot,
@@ -31,6 +33,7 @@ from .traceroute import TracerouteResult, paths_are_symmetric, traceroute
 __all__ = [
     "MeasurementHost",
     "VLANInterface",
+    "Catchment",
     "ForwardingOutcome",
     "ReturnPath",
     "RibSnapshot",

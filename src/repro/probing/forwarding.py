@@ -11,7 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..netutil import Prefix
 from ..topology.graph import Topology
@@ -105,19 +114,16 @@ def _walk(
     )
 
 
-def walk_return_path(
+def rib_step(
     topology: Topology,
     best_route_of: Callable[[int], object],
-    start_asn: int,
-    origin_asns: Set[int],
-    prefix: Prefix,
-) -> ReturnPath:
-    """Walk from *start_asn* toward the measurement prefix.
+) -> Callable[[int], Tuple[int, Optional[int]]]:
+    """The per-AS forwarding step function of a live RIB.
 
     ``best_route_of(asn)`` returns the AS's current best
     :class:`~repro.bgp.attributes.Route` for the measurement prefix (or
-    None); adapters exist for both propagation engines.  ``origin_asns``
-    are the announcement origins (walk terminators).
+    None); adapters exist for both propagation engines.  An AS without
+    a route falls back to its policy's default route, if any.
     """
     def step_of(asn: int) -> Tuple[int, Optional[int]]:
         route = best_route_of(asn)
@@ -130,7 +136,127 @@ def walk_return_path(
             return _LOCAL, None
         return _ROUTE, route.learned_from
 
-    return _walk(step_of, start_asn, origin_asns)
+    return step_of
+
+
+def walk_return_path(
+    topology: Topology,
+    best_route_of: Callable[[int], object],
+    start_asn: int,
+    origin_asns: Set[int],
+    prefix: Prefix,
+) -> ReturnPath:
+    """Walk from *start_asn* toward the measurement prefix over the
+    live RIB (see :func:`rib_step`).  ``origin_asns`` are the
+    announcement origins (walk terminators)."""
+    return _walk(rib_step(topology, best_route_of), start_asn, origin_asns)
+
+
+class Catchment:
+    """Where a response from each AS ends up, over one frozen data plane.
+
+    A lazy, memoised table from start AS to ``(outcome, origin_asn,
+    hop_count)`` — exactly what :func:`_walk` returns as ``outcome``,
+    ``origin_asn`` and ``len(hops)``, without building a hop list.
+    Every AS forwards on its own state, so the plane is a functional
+    graph: each non-terminal AS has one successor, and a walk's fate
+    depends only on where it starts.  A query for an unknown AS walks
+    until it meets a terminal (an origin, a ``_LOCAL`` holder or a
+    ``_NONE`` dead end), an AS already in the table, or a repeat, then
+    fills every AS on that chain in one backward pass (path
+    compression).  Each AS's step function runs at most once.
+
+    The table keeps each AS's *raw* distance ``r``: the hops to its
+    terminal, or, for a walk that ends in a cycle, tail length plus
+    cycle length (a cycle AS has ``r`` = the cycle length).  A
+    predecessor's ``r`` is its successor's plus one in both cases.
+    :func:`_walk` reports ``r + 1`` hops (its ``LOOP`` path repeats the
+    first revisited AS), and its :data:`MAX_AS_HOPS` cut-off turns any
+    walk with ``r >= MAX_AS_HOPS`` into ``LOOP`` with
+    ``MAX_AS_HOPS + 1`` hops.  Both depend on the start AS, which is
+    why the table keeps ``r`` and composes each start AS's answer from
+    it.
+
+    The step function must describe a data plane that does not change
+    while the table is in use: one probing round's RIB, or a
+    :class:`RibSnapshot`.
+    """
+
+    __slots__ = ("_step_of", "_origins", "_raw", "_answers")
+
+    def __init__(
+        self,
+        step_of: Callable[[int], Tuple[int, Optional[int]]],
+        origin_asns: Iterable[int],
+    ) -> None:
+        self._step_of = step_of
+        self._origins = frozenset(origin_asns)
+        #: asn -> (outcome, origin_asn, r) as described above.
+        self._raw: Dict[int, Tuple[ForwardingOutcome, Optional[int], int]] = {}
+        #: asn -> the composed ``(outcome, origin_asn, hop_count)``.
+        self._answers: Dict[
+            int, Tuple[ForwardingOutcome, Optional[int], int]
+        ] = {}
+
+    def __call__(
+        self, start_asn: int
+    ) -> Tuple[ForwardingOutcome, Optional[int], int]:
+        answer = self._answers.get(start_asn)
+        if answer is None:
+            outcome, origin_asn, raw = self._fill(start_asn)
+            if raw < MAX_AS_HOPS:
+                answer = (outcome, origin_asn, raw + 1)
+            else:
+                answer = (ForwardingOutcome.LOOP, None, MAX_AS_HOPS + 1)
+            self._answers[start_asn] = answer
+        return answer
+
+    def _fill(
+        self, start_asn: int
+    ) -> Tuple[ForwardingOutcome, Optional[int], int]:
+        """Resolve *start_asn* and every AS its walk passes."""
+        raw = self._raw
+        origins = self._origins
+        step_of = self._step_of
+        chain: List[int] = []
+        position: Dict[int, int] = {}
+        current = start_asn
+        while True:
+            found = raw.get(current)
+            if found is not None:
+                break
+            if current in origins:
+                found = raw[current] = (
+                    ForwardingOutcome.DELIVERED, current, 0
+                )
+                break
+            kind, next_hop = step_of(current)
+            if kind == _NONE:
+                found = raw[current] = (ForwardingOutcome.NO_ROUTE, None, 0)
+                break
+            if kind == _LOCAL:
+                found = raw[current] = (
+                    ForwardingOutcome.DELIVERED, current, 0
+                )
+                break
+            position[current] = len(chain)
+            chain.append(current)
+            entry = position.get(next_hop)
+            if entry is not None:
+                # The walk closed a cycle: every AS on it revisits
+                # itself after one lap.
+                cycle = chain[entry:]
+                found = (ForwardingOutcome.LOOP, None, len(cycle))
+                for asn in cycle:
+                    raw[asn] = found
+                del chain[entry:]
+                break
+            current = next_hop
+        outcome, origin_asn, distance = found
+        for asn in reversed(chain):
+            distance += 1
+            raw[asn] = (outcome, origin_asn, distance)
+        return raw[start_asn]
 
 
 @dataclass(frozen=True)
@@ -193,6 +319,10 @@ class RibSnapshot:
         """Walk the snapshot exactly as :func:`walk_return_path` walks
         the live RIB."""
         return _walk(self._step_of, start_asn, origin_asns)
+
+    def catchment(self, origin_asns: Iterable[int]) -> Catchment:
+        """A :class:`Catchment` over this snapshot."""
+        return Catchment(self._step_of, origin_asns)
 
 
 def engine_rib(engine, prefix: Prefix) -> Callable[[int], object]:

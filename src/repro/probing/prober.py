@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ExperimentError
 from ..netutil import Prefix
@@ -32,7 +32,7 @@ from ..rng import SeedTree, derive_seed
 from ..topology.graph import Topology
 from ..topology.re_config import SystemPlan
 from ..seeds.selection import ProbeTarget
-from .forwarding import ForwardingOutcome, ReturnPath, walk_return_path
+from .forwarding import Catchment, ForwardingOutcome, rib_step
 from .host import MeasurementHost
 
 DEFAULT_PPS = 100
@@ -45,11 +45,22 @@ PREFIX_STREAM_LABEL = "prefix-%s"
 _log = get_logger("repro.prober")
 
 
-def prefix_stream_rng(round_seed: int, prefix: Prefix) -> random.Random:
-    """The probe RNG for *prefix* within the round seeded *round_seed*."""
-    return random.Random(
-        derive_seed(round_seed, PREFIX_STREAM_LABEL % prefix)
-    )
+def prefix_stream_rng(
+    round_seed: int,
+    prefix: Prefix,
+    labels: Optional[Dict[Prefix, str]] = None,
+) -> random.Random:
+    """The probe RNG for *prefix* within the round seeded *round_seed*.
+
+    *labels* caches each prefix's formatted stream label; a prober
+    passes the same dict every round of a run."""
+    if labels is None:
+        label = PREFIX_STREAM_LABEL % prefix
+    else:
+        label = labels.get(prefix)
+        if label is None:
+            label = labels[prefix] = PREFIX_STREAM_LABEL % prefix
+    return random.Random(derive_seed(round_seed, label))
 
 
 @dataclass
@@ -164,6 +175,8 @@ class Prober:
         self.host = host
         self.systems_by_address = systems_by_address
         self.pps = pps
+        #: Stream labels, formatted once per run (prefix_stream_rng).
+        self._stream_labels: Dict[Prefix, str] = {}
 
     def probe_round(
         self,
@@ -185,9 +198,19 @@ class Prober:
         probes go unanswered without consuming any stream draws, so
         the fault stays surgical — every other prefix's responses are
         untouched.
+
+        The RIB does not change while the round runs, so every return
+        path is read from one :class:`Catchment` built over it.
         """
         result = RoundResult(config=config, started_at=now)
-        origin_set = set(self.host.origin_asns())
+        host = self.host
+        origins = host.origin_asns()
+        catchment = Catchment(rib_step(self.topology, best_route_of), origins)
+        interface_kind_of = {
+            origin: host.interface_for_origin(origin).kind
+            for origin in origins
+        }.__getitem__
+        systems = self.systems_by_address
         interval = 1.0 / self.pps
         index = 0
         recorder = active_recorder()
@@ -195,21 +218,24 @@ class Prober:
             for prefix in sorted(
                 targets_by_prefix, key=lambda p: (p.network, p.length)
             ):
-                rng = prefix_stream_rng(seed_tree.seed, prefix)
+                rng = prefix_stream_rng(
+                    seed_tree.seed, prefix, self._stream_labels
+                )
                 blanked = prefix in lossy_prefixes
+                responses = []
                 for target in targets_by_prefix[prefix]:
-                    response = self._probe_one(
-                        target, best_route_of, origin_set, rng,
-                        now + index * interval, force_loss=blanked,
-                    )
-                    result.responses.setdefault(prefix, []).append(response)
+                    responses.append(probe_one(
+                        systems.get(target.address), target, catchment,
+                        interface_kind_of, rng, now + index * interval,
+                        force_loss=blanked,
+                    ))
                     index += 1
+                if responses:
+                    result.responses[prefix] = responses
                 if recorder is not None and recorder.wants(prefix):
                     recorder.record(signal_event(
                         prefix, round_index, config,
-                        **round_signal_summary(
-                            result.responses.get(prefix, [])
-                        ),
+                        **round_signal_summary(responses),
                     ))
         result.duration = index * interval
         self._flush_metrics(result)
@@ -236,35 +262,11 @@ class Prober:
                 sim_duration=round(result.duration, 3),
             )
 
-    def _probe_one(
-        self,
-        target: ProbeTarget,
-        best_route_of: Callable[[int], object],
-        origin_set,
-        rng: random.Random,
-        tx: float,
-        force_loss: bool = False,
-    ) -> ProbeResponse:
-        def walk(start_asn: int) -> ReturnPath:
-            return walk_return_path(
-                self.topology, best_route_of, start_asn, origin_set,
-                target.prefix,
-            )
-
-        def interface_kind_of(origin_asn: int) -> str:
-            return self.host.interface_for_origin(origin_asn).kind
-
-        return probe_one(
-            self.systems_by_address.get(target.address),
-            target, walk, interface_kind_of, rng, tx,
-            force_loss=force_loss,
-        )
-
 
 def probe_one(
     system: Optional[SystemPlan],
     target: ProbeTarget,
-    walk: Callable[[int], ReturnPath],
+    catchment: Callable[[int], Tuple[ForwardingOutcome, Optional[int], int]],
     interface_kind_of: Callable[[int], str],
     rng: random.Random,
     tx: float,
@@ -273,11 +275,12 @@ def probe_one(
     """Probe one target over an abstract data plane.
 
     This is the single implementation of probe semantics: the serial
-    :class:`Prober` walks the live RIB, shard workers walk a
-    :class:`~repro.probing.forwarding.RibSnapshot`, and both funnel
-    through here so their responses cannot diverge.  *walk* maps the
-    probed system's attached ASN to a
-    :class:`~repro.probing.forwarding.ReturnPath`.
+    :class:`Prober` reads a catchment of the live RIB, shard workers a
+    catchment of a :class:`~repro.probing.forwarding.RibSnapshot`, and
+    both funnel through here so their responses cannot diverge.
+    *catchment* maps the probed system's attached ASN to the
+    ``(outcome, origin_asn, hop_count)`` of its return path
+    (:class:`~repro.probing.forwarding.Catchment`).
 
     *force_loss* drops the probe before any stream draw — the
     fault-plan loss-burst hook (:mod:`repro.faults`).  Consuming no
@@ -291,24 +294,23 @@ def probe_one(
         return ProbeResponse(target=target, tx_time=tx, responded=False)
     if rng.random() < system.loss_probability:
         return ProbeResponse(target=target, tx_time=tx, responded=False)
-    path = walk(system.attached_asn)
-    if path.outcome is not ForwardingOutcome.DELIVERED:
+    outcome, origin_asn, hop_count = catchment(system.attached_asn)
+    if outcome is not ForwardingOutcome.DELIVERED:
         return ProbeResponse(
             target=target,
             tx_time=tx,
             responded=False,
-            outcome=path.outcome,
-            hops=len(path.hops),
+            outcome=outcome,
+            hops=hop_count,
         )
-    hop_count = len(path.hops)
     rtt = 4.0 * hop_count + rng.uniform(1.0, 25.0)
     return ProbeResponse(
         target=target,
         tx_time=tx,
         responded=True,
-        interface_kind=interface_kind_of(path.origin_asn),
-        origin_asn=path.origin_asn,
+        interface_kind=interface_kind_of(origin_asn),
+        origin_asn=origin_asn,
         rtt_ms=rtt,
-        outcome=path.outcome,
+        outcome=outcome,
         hops=hop_count,
     )

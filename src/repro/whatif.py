@@ -44,7 +44,7 @@ from .errors import ExperimentError
 from .netutil import Prefix
 from .obs import get_logger
 from .obs.provenance import signal_from_kinds
-from .probing.forwarding import ForwardingOutcome, RibSnapshot, engine_rib
+from .probing.forwarding import Catchment, RibSnapshot, engine_rib
 from .probing.host import MeasurementHost
 from .rng import SeedTree
 from .topology.re_ecosystem import Ecosystem, build_ecosystem
@@ -113,6 +113,9 @@ class WhatIfSession:
         #: ("config", label) steps and ("delta", delta) edits.
         self._journal: List[Tuple[str, object]] = []
         self._snapshots: Dict[str, RibSnapshot] = {}
+        #: Per-config catchments over the snapshots, built on the first
+        #: query and dropped whenever their snapshot is.
+        self._catchments: Dict[str, Catchment] = {}
         self._config_index = 0
         self._warm_up()
 
@@ -210,6 +213,7 @@ class WhatIfSession:
         outcome = self._engine.apply_delta(delta)
         self._journal.append(("delta", delta))
         self._snapshots.clear()
+        self._catchments.clear()
         self._snapshot_current()
         return outcome
 
@@ -222,30 +226,30 @@ class WhatIfSession:
     ) -> Prediction:
         """Where does *prefix* land under *config* (default: current)?
 
-        Walks the cached RIB snapshot from every alive system planned
-        inside the prefix — the prober's deterministic return-path
-        core, minus liveness/loss randomness — and classifies the
-        reached interface kinds."""
+        Reads the config's catchment (built on the first query over the
+        cached RIB snapshot) at every alive system planned inside the
+        prefix — the prober's deterministic return-path core, minus
+        liveness/loss randomness — and classifies the reached interface
+        kinds."""
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         label = config or self.current_config
-        snapshot = self._snapshots.get(label)
-        if snapshot is None:
-            self.advance_to_config(label)
-            snapshot = self._snapshots[label]
+        catchment = self._catchments.get(label)
+        if catchment is None:
+            snapshot = self._snapshots.get(label)
+            if snapshot is None:
+                self.advance_to_config(label)
+                snapshot = self._snapshots[label]
+            catchment = self._catchments[label] = snapshot.catchment(
+                self.host.origin_asns()
+            )
         plan = self.ecosystem.prefix_plans.get(prefix)
         if plan is None:
             raise ExperimentError("prefix %s is not in the study" % prefix)
-        origin_set = set(self.host.origin_asns())
         deliveries: List[Tuple[int, Optional[int]]] = []
         kinds: List[str] = []
         for system in plan.alive_systems:
-            path = snapshot.walk(system.attached_asn, origin_set)
-            origin = (
-                path.origin_asn
-                if path.outcome is ForwardingOutcome.DELIVERED
-                else None
-            )
+            _, origin, _ = catchment(system.attached_asn)
             deliveries.append((system.address, origin))
             if origin is not None:
                 kinds.append(self.host.interface_for_origin(origin).kind)
@@ -261,8 +265,8 @@ class WhatIfSession:
         prefixes,
         config: Optional[str] = None,
     ) -> List[Prediction]:
-        """Batched :meth:`predict` over many prefixes (one snapshot
-        lookup, many walks)."""
+        """Batched :meth:`predict` over many prefixes (one catchment
+        lookup each)."""
         return [self.predict(prefix, config) for prefix in prefixes]
 
     def rib_state(self) -> tuple:
@@ -289,6 +293,7 @@ class WhatIfSession:
 
     def _snapshot_current(self) -> None:
         prefix = self.ecosystem.measurement_prefix
+        self._catchments.pop(self.current_config, None)
         self._snapshots[self.current_config] = RibSnapshot.capture(
             self.ecosystem.topology,
             engine_rib(self._engine, prefix),

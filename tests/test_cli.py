@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.obs.budget import load_budget
 
 
 class TestAgeModelCommand:
@@ -65,6 +66,21 @@ class TestReproduceAndClassify:
         assert main(["classify", path]) == 0
         out = capsys.readouterr().out
         assert "/24" in out or "/16" in out
+
+
+class TestRegistryPerCommand:
+    def test_second_run_reports_only_itself(self, tmp_path, capsys):
+        """Two commands in one process: the second's budget must not
+        carry the first run's spans."""
+        for run in range(2):
+            budget = tmp_path / ("budget-%d.json" % run)
+            assert main([
+                "reproduce", "--scale", "0.04",
+                "--profile-out", str(budget),
+            ]) == 0
+            phases = load_budget(str(budget))["phases"]
+            assert phases["topology.build"]["calls"] == 1
+        capsys.readouterr()
 
 
 class TestParser:

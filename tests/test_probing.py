@@ -2,6 +2,7 @@
 prober."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Announcement, Prefix, propagate_fastpath
 from repro.errors import ExperimentError
@@ -12,7 +13,16 @@ from repro.probing import (
     VLANInterface,
     walk_return_path,
 )
-from repro.probing.forwarding import fastpath_rib
+from repro.probing.forwarding import (
+    MAX_AS_HOPS,
+    Catchment,
+    _DEFAULT,
+    _LOCAL,
+    _NONE,
+    _ROUTE,
+    _walk,
+    fastpath_rib,
+)
 from repro.probing.host import DEFAULT_SOURCE
 from repro.probing.prober import Prober
 from repro.rng import SeedTree
@@ -144,6 +154,82 @@ class TestWalker:
         topo.node(2).policy.default_route_via = 1
         path = walk_return_path(topo, lambda asn: None, 1, {99}, MEAS)
         assert path.outcome is ForwardingOutcome.LOOP
+
+
+@st.composite
+def step_maps(draw):
+    """A random per-AS step map over ASes ``0..n-1``, its origin set,
+    and every AS to query (three beyond the map) in a random order.
+
+    The first ``chain`` ASes form a straight line (``a -> a + 1``), so
+    walks run past the :data:`MAX_AS_HOPS` cut-off; the rest mix
+    ``_ROUTE``/``_DEFAULT`` next hops anywhere (cycles, and next hops
+    outside the map, which step to ``_NONE``), self-loops, ``_NONE``
+    dead ends and ``_LOCAL`` holders."""
+    n = draw(st.integers(1, 150))
+    chain = draw(st.integers(0, n))
+    steps = {}
+    for asn in range(n):
+        if asn < chain - 1:
+            kind = draw(st.sampled_from((_ROUTE, _DEFAULT)))
+            steps[asn] = (kind, asn + 1)
+            continue
+        shape = draw(st.sampled_from(
+            ("route", "route", "default", "self", "none", "local")
+        ))
+        if shape == "none":
+            steps[asn] = (_NONE, None)
+        elif shape == "local":
+            steps[asn] = (_LOCAL, None)
+        elif shape == "self":
+            steps[asn] = (_ROUTE, asn)
+        else:
+            kind = _ROUTE if shape == "route" else _DEFAULT
+            steps[asn] = (kind, draw(st.integers(0, n + 2)))
+    origins = draw(st.sets(st.integers(0, n + 2), max_size=3))
+    order = draw(st.permutations(list(range(n + 3))))
+    return steps, origins, order
+
+
+class TestCatchment:
+    @settings(max_examples=300, deadline=None)
+    @given(step_maps())
+    def test_matches_walk_from_every_start(self, case):
+        steps, origins, order = case
+        calls = []
+
+        def step_of(asn):
+            calls.append(asn)
+            return steps.get(asn, (_NONE, None))
+
+        catchment = Catchment(step_of, origins)
+        for start in order:
+            path = _walk(
+                lambda asn: steps.get(asn, (_NONE, None)), start, origins
+            )
+            assert catchment(start) == (
+                path.outcome, path.origin_asn, len(path.hops)
+            )
+        # Path compression: every AS's step runs at most once.
+        assert len(calls) == len(set(calls))
+
+    def test_ttl_and_loop_hop_counts(self):
+        """The hop count depends on where the walk starts: a terminal
+        at distance >= MAX_AS_HOPS becomes LOOP with MAX_AS_HOPS + 1
+        hops, and a loop costs tail + cycle + 1 hops."""
+        line = {asn: (_ROUTE, asn + 1) for asn in range(MAX_AS_HOPS)}
+        catchment = Catchment(lambda asn: line.get(asn, (_NONE, None)),
+                              {MAX_AS_HOPS})
+        far, near = catchment(0), catchment(1)
+        assert far == (ForwardingOutcome.LOOP, None, MAX_AS_HOPS + 1)
+        assert near == (ForwardingOutcome.DELIVERED, MAX_AS_HOPS,
+                        MAX_AS_HOPS)
+        # 0 -> 1 -> 2 -> 3 -> 1: tail 1, cycle 3.
+        ring = {0: (_ROUTE, 1), 1: (_ROUTE, 2), 2: (_DEFAULT, 3),
+                3: (_ROUTE, 1)}
+        catchment = Catchment(ring.__getitem__, ())
+        assert catchment(2) == (ForwardingOutcome.LOOP, None, 4)
+        assert catchment(0) == (ForwardingOutcome.LOOP, None, 5)
 
 
 class TestProber:

@@ -18,8 +18,15 @@ from repro.bgp.engine import (
 )
 from repro.cli import main
 from repro.errors import ExperimentError
+from repro.netutil import Prefix
 from repro.obs.budget import load_budget
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.provenance import signal_from_kinds
+from repro.probing.forwarding import (
+    ForwardingOutcome,
+    RibSnapshot,
+    engine_rib,
+)
 from repro.whatif import parse_delta
 
 
@@ -109,6 +116,62 @@ class TestConfigStepping:
             session.predict("203.0.113.0/24")
 
 
+def _walked_predictions(session, prefixes, config):
+    """What :meth:`WhatIfSession.predict` must answer now, from
+    :meth:`RibSnapshot.walk` over a fresh capture of the warm engine."""
+    ecosystem = session.ecosystem
+    prefix = ecosystem.measurement_prefix
+    snapshot = RibSnapshot.capture(
+        ecosystem.topology, engine_rib(session.engine, prefix), prefix,
+    )
+    origins = set(session.host.origin_asns())
+    predictions = []
+    for text in prefixes:
+        deliveries, kinds = [], []
+        plan = ecosystem.prefix_plans[Prefix.parse(text)]
+        for system in plan.alive_systems:
+            path = snapshot.walk(system.attached_asn, origins)
+            origin = (
+                path.origin_asn
+                if path.outcome is ForwardingOutcome.DELIVERED else None
+            )
+            deliveries.append((system.address, origin))
+            if origin is not None:
+                kinds.append(session.host.interface_for_origin(origin).kind)
+        predictions.append(Prediction(
+            prefix=text, config=config, signal=signal_from_kinds(kinds),
+            deliveries=tuple(deliveries),
+        ))
+    return predictions
+
+
+class TestCatchmentPredictions:
+    def test_predict_equals_snapshot_walks(self):
+        """Catchment-backed predictions equal hop-by-hop snapshot walks
+        at two configs, and again after a delta: a catchment built
+        before ``apply()`` is never served after it."""
+        session = WhatIfSession(ExperimentSpec(seed=0, scale=0.04))
+        prefixes = sorted(
+            str(plan.prefix)
+            for plan in session.ecosystem.studied_prefixes()
+        )
+        first = session.current_config
+        at_first = _walked_predictions(session, prefixes, first)
+        assert session.predict_batch(prefixes) == at_first
+        second = session.schedule.configs[1]
+        session.advance_to_config(second)
+        at_second = _walked_predictions(session, prefixes, second)
+        assert session.predict_batch(prefixes, second) == at_second
+        assert session.predict_batch(prefixes, first) == at_first
+        neighbor = min(
+            session.ecosystem.topology.neighbors(session.re_origin)
+        )
+        session.apply(LinkFlap(session.re_origin, neighbor, "down"))
+        after = _walked_predictions(session, prefixes, second)
+        assert after != at_second   # the delta moved some prediction
+        assert session.predict_batch(prefixes) == after
+
+
 class TestDeterminism:
     def test_predictions_are_a_pure_function_of_the_spec(self):
         spec = ExperimentSpec(seed=0, scale=0.04)
@@ -166,6 +229,24 @@ class TestWhatifCli:
         assert payload["phases"]["topology.build"]["calls"] == 1
         assert payload["phases"]["engine.run_to_fixpoint"]["calls"] >= 1
         assert payload["wall_seconds"] > 0
+
+    def test_provenance_out_rejected_before_any_file(self, tmp_path,
+                                                     capsys):
+        """``whatif`` records no provenance, so ``--provenance-out`` is
+        refused up front and leaves no output file behind."""
+        provenance = tmp_path / "p.jsonl"
+        metrics = tmp_path / "m.json"
+        code = main([
+            "whatif", "--scale", "0.04", "--seed", "0", "--limit", "0",
+            "--provenance-out", str(provenance),
+            "--metrics-out", str(metrics),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--provenance-out" in captured.err
+        assert captured.out == ""
+        assert not provenance.exists()
+        assert not metrics.exists()
 
     def test_exit_two_on_bad_delta(self, capsys):
         code = main([
